@@ -9,8 +9,10 @@
 //!
 //! * **Routing** — jobs land in the first leaf (depth-first order) whose
 //!   routing prefix is a prefix of the job name, falling back to the last
-//!   leaf. A one-level tree therefore routes exactly like
-//!   `CapacityPolicy`.
+//!   leaf. `CapacityPolicy` instead picks the longest matching queue
+//!   name, so a one-level tree routes like it only when no leaf prefix
+//!   is a prefix of another (with leaves `prod,prod-etl`, hier sends
+//!   `prod-etl-x` to `prod`, capacity to `prod-etl`).
 //! * **Slot assignment** — each free slot walks the tree from the root,
 //!   picking at every level the most under-served *eligible* child:
 //!   children below their min share come first (smallest `running/min`
@@ -18,7 +20,8 @@
 //!   A child is eligible when its subtree has schedulable work and every
 //!   node on the path respects its max share. At the leaf, the
 //!   earliest-arrived schedulable job wins — so a flat tree with no
-//!   min/max shares reproduces `CapacityPolicy` schedules byte for byte.
+//!   min/max shares, whose leaves route like `CapacityPolicy`'s queues,
+//!   reproduces its schedules byte for byte.
 //! * **Min-share preemption** — a pool sitting below its map min share
 //!   with pending work for longer than its `preemption_timeout` triggers
 //!   the engine's `map_preemptions` path: one task of the most over-share
@@ -825,6 +828,10 @@ mod tests {
         assert_eq!(p.route("adhoc-sort"), p.leaves[2]);
         // no match falls back to the last leaf
         assert_eq!(p.route("mystery"), p.leaves[2]);
+        // the first matching leaf wins, not the longest (capacity's rule)
+        let p = hier("prod,prod-etl");
+        assert_eq!(p.leaf_prefixes(), vec!["prod", "prod-etl"]);
+        assert_eq!(p.route("prod-etl-x"), p.leaves[0]);
     }
 
     #[test]

@@ -27,10 +27,12 @@
 //!
 //! A leaf's routing prefix is its path of non-empty names joined with
 //! `-`: `prod{etl,serving}` yields leaves `prod-etl` and `prod-serving`.
-//! Jobs route to the first leaf (depth-first order) whose prefix is a
-//! prefix of the job name, falling back to the **last** leaf — identical
-//! to [`CapacityPolicy`](crate::CapacityPolicy) routing, so list a
-//! catch-all pool last.
+//! Jobs route to the **first** leaf (depth-first order) whose prefix is a
+//! prefix of the job name, falling back to the **last** leaf. This is not
+//! [`CapacityPolicy`](crate::CapacityPolicy) routing, which picks the
+//! *longest* matching queue name: the two agree only when no routing
+//! prefix is a prefix of another. List more specific pools before the
+//! pools whose prefixes they extend, and a catch-all pool last.
 //!
 //! ## JSON config (`--pools FILE`)
 //!

@@ -1,5 +1,5 @@
 //! The serve layer's memo caches: canonical scenario key → serialized
-//! report, and prefix key → serialized engine checkpoint.
+//! report, and prefix key → decoded engine checkpoint.
 //!
 //! The engine is deterministic, and [`crate::ScenarioSpec::canonical_key`]
 //! pins everything a run depends on, so caching the *serialized* report
@@ -7,11 +7,14 @@
 //! produced, which is the property the serve protocol promises (cache
 //! status travels in a response header, never in the body). The same
 //! argument covers checkpoints ([`CkptCache`]): a prefix key plus the
-//! checkpoint instant pins the encoded [`simmr_core::EngineCheckpoint`]
-//! byte for byte, so fork scenarios sharing a prefix warm-start from one
-//! memoized prefix run. Keys hash to one of a fixed set of shards, each
-//! its own mutex, so concurrent requests rarely contend.
+//! checkpoint instant pins the [`simmr_core::EngineCheckpoint`], so fork
+//! scenarios sharing a prefix warm-start from one memoized prefix run.
+//! Checkpoints are held decoded and shared by `Arc`: engines resume from
+//! a borrowed checkpoint, so a hit costs no decode. Keys hash to one of
+//! a fixed set of shards, each its own mutex, so concurrent requests
+//! rarely contend.
 
+use simmr_core::EngineCheckpoint;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,9 +48,9 @@ pub struct MemoCache<V: Clone> {
 /// Canonical scenario key → serialized report body.
 pub type ReportCache = MemoCache<Arc<str>>;
 
-/// Prefix scenario key + checkpoint instant → encoded
-/// [`simmr_core::EngineCheckpoint`] bytes.
-pub type CkptCache = MemoCache<Arc<[u8]>>;
+/// Prefix scenario key + checkpoint instant → decoded
+/// [`simmr_core::EngineCheckpoint`].
+pub type CkptCache = MemoCache<Arc<EngineCheckpoint>>;
 
 impl<V: Clone> MemoCache<V> {
     /// A cache with `shards` independent shards of at most `shard_cap`
@@ -63,7 +66,15 @@ impl<V: Clone> MemoCache<V> {
 
     /// Looks a key up, counting the hit or miss.
     pub fn get(&self, key: &str) -> Option<V> {
+        self.get_if(key, |_| true)
+    }
+
+    /// Looks a key up and keeps the entry only if `fresh` accepts it; a
+    /// rejected (stale) entry counts as a miss. `fresh` runs after the
+    /// shard lock is released, so it may do I/O.
+    pub(crate) fn get_if(&self, key: &str, fresh: impl FnOnce(&V) -> bool) -> Option<V> {
         let found = self.shard(key).lock().expect("cache shard poisoned").get(key).cloned();
+        let found = found.filter(fresh);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -136,6 +147,15 @@ mod tests {
         cache.insert("c".into(), Arc::from("3"));
         assert_eq!(cache.len(), 1, "overflowing shard was cleared first");
         assert_eq!(cache.get("c").as_deref(), Some("3"));
+    }
+
+    #[test]
+    fn stale_entries_count_as_misses() {
+        let cache = ReportCache::new(2, 4);
+        cache.insert("k".into(), Arc::from("old"));
+        assert!(cache.get_if("k", |v| &**v == "new").is_none());
+        assert_eq!(cache.get_if("k", |v| &**v == "old").as_deref(), Some("old"));
+        assert_eq!(cache.stats(), CacheStats { entries: 1, hits: 1, misses: 1 });
     }
 
     #[test]

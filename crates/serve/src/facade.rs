@@ -11,7 +11,7 @@
 //! [`ScenarioSpec::canonical_key`] — fully determines the report byte
 //! for byte, which is what makes the serve layer's memo cache sound.
 
-use crate::cache::CkptCache;
+use crate::cache::{CacheStats, CkptCache, MemoCache};
 use simmr_core::{
     Divergence, EngineCheckpoint, EngineConfig, FaultSpec, ForkSpec, JobSource, RecoverySpec,
     SimulatorEngine,
@@ -19,7 +19,7 @@ use simmr_core::{
 use simmr_sched::PolicySpec;
 use simmr_stats::parallel_sweep;
 use simmr_stats::{Dist, SeededRng};
-use simmr_trace::{digest_trace, BinTraceSource, TraceDatabase, TraceDigest};
+use simmr_trace::{digest_trace, BinTraceSource, TraceDatabase, TraceDigest, TraceFormat};
 use simmr_types::{ClusterSpec, HostId, JobSpec, SimTime, SimulationReport, WorkloadTrace};
 use std::collections::HashMap;
 use std::fmt;
@@ -575,15 +575,10 @@ impl ResolvedScenario {
     pub fn run_warm(&self, ckpts: &CkptCache) -> FacadeRun {
         let Some(key) = self.ckpt_key() else { return self.run() };
         let (hit, ckpt) = match ckpts.get(&key) {
-            Some(bytes) => (
-                true,
-                EngineCheckpoint::decode(&bytes)
-                    .expect("cached checkpoint bytes decode (they were encoded right here)"),
-            ),
+            Some(ckpt) => (true, ckpt),
             None => {
-                let at = SimTime::from_millis(self.spec.fork_at.expect("fork key implies fork_at"));
-                let ckpt = self.checkpoint(at);
-                ckpts.insert(key, ckpt.encode().into());
+                let ckpt = Arc::new(self.prefix_checkpoint());
+                ckpts.insert(key, Arc::clone(&ckpt));
                 (false, ckpt)
             }
         };
@@ -629,9 +624,14 @@ impl ResolvedScenario {
         if ckpts.get(&key).is_some() {
             return true;
         }
-        let at = SimTime::from_millis(self.spec.fork_at.expect("fork key implies fork_at"));
-        ckpts.insert(key, self.checkpoint(at).encode().into());
+        ckpts.insert(key, Arc::new(self.prefix_checkpoint()));
         false
+    }
+
+    /// The checkpoint a fork scenario warm-starts from: its prefix at
+    /// `fork_at`.
+    fn prefix_checkpoint(&self) -> EngineCheckpoint {
+        self.checkpoint(SimTime::from_millis(self.spec.fork_at.expect("fork key implies fork_at")))
     }
 
     fn wrap(&self, report: SimulationReport, ckpt: Option<bool>) -> FacadeRun {
@@ -669,14 +669,22 @@ pub struct FacadeRun {
 
 /// Loads and validates a trace file, sniffing JSON vs SIMMRBIN by magic.
 pub fn load_trace_file(path: &str) -> Result<WorkloadTrace, FacadeError> {
+    decode_trace_file(path, &read_trace_file(path)?)
+}
+
+fn read_trace_file(path: &str) -> Result<Vec<u8>, FacadeError> {
+    std::fs::read(path).map_err(|e| FacadeError::Trace(format!("cannot read `{path}`: {e}")))
+}
+
+/// Decodes and validates the bytes of the trace file at `path`.
+fn decode_trace_file(path: &str, bytes: &[u8]) -> Result<WorkloadTrace, FacadeError> {
     let err = |msg: String| FacadeError::Trace(msg);
-    let bytes = std::fs::read(path).map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
-    let trace: WorkloadTrace = if simmr_trace::is_binary_trace(&bytes) {
-        simmr_trace::decode_trace(&bytes)
+    let trace: WorkloadTrace = if simmr_trace::is_binary_trace(bytes) {
+        simmr_trace::decode_trace(bytes)
             .map_err(|e| err(format!("`{path}` is not a valid binary trace: {e}")))?
     } else {
         let text =
-            std::str::from_utf8(&bytes).map_err(|_| err(format!("`{path}` is not a trace")))?;
+            std::str::from_utf8(bytes).map_err(|_| err(format!("`{path}` is not a trace")))?;
         serde_json::from_str(text).map_err(|e| err(format!("`{path}` is not a trace: {e}")))?
     };
     trace.validate().map_err(|e| err(format!("`{path}` contains an invalid job: {e}")))?;
@@ -693,45 +701,122 @@ pub fn attach_deadlines(
     reduce_slots: usize,
     seed: u64,
 ) {
+    let durations = standalone_durations(trace, map_slots, reduce_slots);
+    stamp_deadlines(trace, &durations, factor, seed);
+}
+
+/// Each job's standalone FIFO duration `T_j` on the given slot pools, in
+/// trace order.
+fn standalone_durations(trace: &WorkloadTrace, map_slots: usize, reduce_slots: usize) -> Vec<u64> {
+    trace
+        .jobs
+        .iter()
+        .map(|job| {
+            let mut single = WorkloadTrace::new("standalone", "cli");
+            single.push(JobSpec::new(job.template.clone(), SimTime::ZERO));
+            let report = SimulatorEngine::new(
+                EngineConfig::new(map_slots, reduce_slots),
+                &single,
+                PolicySpec::Fifo.build(),
+            )
+            .run();
+            report.jobs[0].duration()
+        })
+        .collect()
+}
+
+/// The deadline draws of [`attach_deadlines`], given the jobs' `T_j`.
+fn stamp_deadlines(trace: &mut WorkloadTrace, durations: &[u64], factor: f64, seed: u64) {
     let mut rng = SeededRng::new(seed);
-    for job in trace.jobs.iter_mut() {
-        let mut single = WorkloadTrace::new("standalone", "cli");
-        single.push(JobSpec::new(job.template.clone(), SimTime::ZERO));
-        let report = SimulatorEngine::new(
-            EngineConfig::new(map_slots, reduce_slots),
-            &single,
-            PolicySpec::Fifo.build(),
-        )
-        .run();
-        let t_j = report.jobs[0].duration() as f64;
+    for (job, &t_j) in trace.jobs.iter_mut().zip(durations) {
+        let t_j = t_j as f64;
         let rel = rng.uniform(t_j, factor.max(1.0) * t_j);
         job.deadline = Some(job.arrival + rel as u64);
     }
 }
 
+/// Shards and per-shard capacity of the facade's trace-load memo: at
+/// most 8 traces stay resident.
+const TRACE_MEMO: (usize, usize) = (4, 2);
+/// Shards and per-shard capacity of the standalone-duration memo.
+const DURATION_MEMO: (usize, usize) = (4, 16);
+
+/// A memoized trace load.
+struct LoadedTrace {
+    /// The database entry the bytes were read from (digest refs re-read
+    /// it to tell whether the entry still holds them).
+    name: Option<String>,
+    /// The stored format and bytes the trace was decoded from; `None` for
+    /// inline traces.
+    stored: Option<(TraceFormat, Vec<u8>)>,
+    trace: Arc<WorkloadTrace>,
+    digest: TraceDigest,
+}
+
+impl LoadedTrace {
+    fn new(
+        name: Option<&str>,
+        stored: Option<(TraceFormat, Vec<u8>)>,
+        trace: WorkloadTrace,
+    ) -> Result<Self, FacadeError> {
+        let digest = digest_trace(&trace).map_err(trace_error)?;
+        Ok(LoadedTrace { name: name.map(str::to_owned), stored, trace: Arc::new(trace), digest })
+    }
+}
+
+fn trace_error(e: impl fmt::Display) -> FacadeError {
+    FacadeError::Trace(e.to_string())
+}
+
 /// The request-scoped engine facade: resolves [`ScenarioSpec`]s and runs
-/// them. Holds no mutable state — an optional trace database handle is
-/// all there is — so one facade serves any number of threads.
+/// them. Its only mutable state is two memos behind sharded mutexes, so
+/// one facade serves any number of threads:
+///
+/// * trace loads, keyed by trace ref. An entry read from the trace
+///   database or a file is reused only while that file still holds the
+///   exact bytes it was decoded from (stores replace files by rename, so
+///   a read sees one whole version); an inline entry only for an equal
+///   trace. A hit costs one file read and compare, not a parse, digest
+///   and validation.
+/// * each job's standalone FIFO duration `T_j`, keyed by `(digest, map
+///   slots, reduce slots)`, so deadline stamping is a clone plus the
+///   seeded draws.
 pub struct SimFacade {
     db: Option<TraceDatabase>,
+    traces: MemoCache<Arc<LoadedTrace>>,
+    durations: MemoCache<Arc<[u64]>>,
 }
 
 impl SimFacade {
     /// A facade without a trace database: only `path` and `inline` trace
     /// refs resolve.
     pub fn new() -> Self {
-        SimFacade { db: None }
+        SimFacade::over(None)
     }
 
     /// A facade over the trace database at `dir` (created if absent).
     pub fn with_db(dir: impl AsRef<std::path::Path>) -> Result<Self, FacadeError> {
-        let db = TraceDatabase::open(dir).map_err(|e| FacadeError::Trace(e.to_string()))?;
-        Ok(SimFacade { db: Some(db) })
+        let db = TraceDatabase::open(dir).map_err(trace_error)?;
+        Ok(SimFacade::over(Some(db)))
+    }
+
+    fn over(db: Option<TraceDatabase>) -> Self {
+        SimFacade {
+            db,
+            traces: MemoCache::new(TRACE_MEMO.0, TRACE_MEMO.1),
+            durations: MemoCache::new(DURATION_MEMO.0, DURATION_MEMO.1),
+        }
     }
 
     /// The underlying trace database, when configured.
     pub fn db(&self) -> Option<&TraceDatabase> {
         self.db.as_ref()
+    }
+
+    /// Counters of the trace-load memo. A lookup whose entry is stale
+    /// (the stored bytes changed) counts as a miss.
+    pub(crate) fn trace_stats(&self) -> CacheStats {
+        self.traces.stats()
     }
 
     /// Resolves one scenario: normalizes and validates the spec,
@@ -740,50 +825,39 @@ impl SimFacade {
         self.resolve_many(std::slice::from_ref(spec)).pop().expect("one spec in, one result out")
     }
 
-    /// Resolves a batch, loading and deadline-stamping each distinct
-    /// trace exactly once however many scenarios share it. Per-scenario
+    /// Resolves a batch, deadline-stamping each distinct trace once per
+    /// `(factor, slots, seed)` however many scenarios share it. Per-scenario
     /// results: one bad spec does not fail its neighbours.
     pub fn resolve_many(
         &self,
         specs: &[ScenarioSpec],
     ) -> Vec<Result<ResolvedScenario, FacadeError>> {
-        // materialized base traces by trace-ref identity, then
-        // deadline-stamped variants by (ref, factor, slots, seed)
-        let mut loaded: HashMap<String, Result<(Arc<WorkloadTrace>, TraceDigest), FacadeError>> =
+        // stamped variants by (base trace address, factor, slots, seed);
+        // each value holds its base so the address stays unique all batch
+        let mut stamped: HashMap<(usize, String), (Arc<WorkloadTrace>, Arc<WorkloadTrace>)> =
             HashMap::new();
-        let mut stamped: HashMap<String, Arc<WorkloadTrace>> = HashMap::new();
         specs
             .iter()
             .map(|spec| {
                 let mut spec = spec.clone();
                 spec.normalize();
                 spec.validate()?;
-                let ident = self.ref_ident(&spec.trace)?;
-                let (base, digest) = loaded
-                    .entry(ident.clone())
-                    .or_insert_with(|| self.materialize(&spec.trace))
-                    .clone()?;
+                let loaded = self.materialize(&spec.trace)?;
+                let (base, digest) = (&loaded.trace, loaded.digest);
                 let trace = match spec.deadline_factor {
-                    None => base,
+                    None => Arc::clone(base),
                     Some(df) => {
-                        let stamp_key = format!(
-                            "{ident}|df={df}|m={}|r={}|s={}",
-                            spec.cluster.map_slots, spec.cluster.reduce_slots, spec.seed
-                        );
-                        stamped
-                            .entry(stamp_key)
+                        let (m, r) = (spec.cluster.map_slots, spec.cluster.reduce_slots);
+                        let stamp_key = format!("df={df}|m={m}|r={r}|s={}", spec.seed);
+                        let (_, t) = stamped
+                            .entry((Arc::as_ptr(base) as usize, stamp_key))
                             .or_insert_with(|| {
-                                let mut t = (*base).clone();
-                                attach_deadlines(
-                                    &mut t,
-                                    df,
-                                    spec.cluster.map_slots,
-                                    spec.cluster.reduce_slots,
-                                    spec.seed,
-                                );
-                                Arc::new(t)
-                            })
-                            .clone()
+                                let durations = self.durations(base, digest, m, r);
+                                let mut t = (**base).clone();
+                                stamp_deadlines(&mut t, &durations, df, spec.seed);
+                                (Arc::clone(base), Arc::new(t))
+                            });
+                        Arc::clone(t)
                     }
                 };
                 let key = spec.canonical_key(digest);
@@ -850,45 +924,125 @@ impl SimFacade {
             .collect()
     }
 
-    /// A stable identity for memoizing trace loads within one batch.
-    fn ref_ident(&self, r: &TraceRef) -> Result<String, FacadeError> {
-        Ok(match r {
-            TraceRef::Name(n) => format!("name:{n}"),
-            TraceRef::Digest(d) => format!("digest:{d}"),
-            TraceRef::Path(p) => format!("path:{p}"),
-            TraceRef::Inline(t) => format!(
-                "inline:{}",
-                digest_trace(t).map_err(|e| FacadeError::Trace(e.to_string()))?
-            ),
+    /// Each job's `T_j` on `(map_slots, reduce_slots)`, memoized by digest.
+    fn durations(
+        &self,
+        trace: &WorkloadTrace,
+        digest: TraceDigest,
+        map_slots: usize,
+        reduce_slots: usize,
+    ) -> Arc<[u64]> {
+        // The digest orders jobs by (arrival, position), so it pins the job
+        // sequence, and with it each position's template, only for traces
+        // whose arrivals are already sorted. Only those share durations.
+        if !trace.jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival) {
+            return standalone_durations(trace, map_slots, reduce_slots).into();
+        }
+        let key = format!("{digest}|m={map_slots}|r={reduce_slots}");
+        if let Some(durations) = self.durations.get(&key) {
+            return durations;
+        }
+        let durations: Arc<[u64]> = standalone_durations(trace, map_slots, reduce_slots).into();
+        self.durations.insert(key, Arc::clone(&durations));
+        durations
+    }
+
+    /// Materializes a trace reference into a validated trace + digest,
+    /// from the memo when the source is unchanged.
+    fn materialize(&self, r: &TraceRef) -> Result<Arc<LoadedTrace>, FacadeError> {
+        match r {
+            TraceRef::Name(name) => self.load_stored(name),
+            TraceRef::Digest(digest) => {
+                let db = self.require_db()?;
+                let unchanged = |e: &LoadedTrace| {
+                    e.name.as_deref().is_some_and(|n| db.read(n).ok() == e.stored)
+                };
+                self.memoized(format!("digest:{digest}"), unchanged, || {
+                    let name = db.find_by_digest(*digest).map_err(trace_error)?;
+                    let loaded = match name {
+                        Some(name) => self.load_stored(&name)?,
+                        None => return Err(no_such_digest(*digest)),
+                    };
+                    // the entry may have been overwritten since the scan
+                    if loaded.digest != *digest {
+                        return Err(no_such_digest(*digest));
+                    }
+                    Ok(loaded)
+                })
+            }
+            TraceRef::Path(path) => {
+                let bytes = read_trace_file(path)?;
+                let format = if simmr_trace::is_binary_trace(&bytes) {
+                    TraceFormat::Bin
+                } else {
+                    TraceFormat::Json
+                };
+                self.decoded(format!("path:{path}"), None, (format, bytes), |_, bytes| {
+                    decode_trace_file(path, bytes)
+                })
+            }
+            TraceRef::Inline(trace) => {
+                let digest = digest_trace(trace).map_err(trace_error)?;
+                self.memoized(
+                    format!("inline:{digest}"),
+                    |e| *e.trace == *trace,
+                    || {
+                        trace.validate().map_err(|e| {
+                            FacadeError::Trace(format!("inline trace has an invalid job: {e}"))
+                        })?;
+                        Ok(Arc::new(LoadedTrace {
+                            name: None,
+                            stored: None,
+                            trace: Arc::new(trace.clone()),
+                            digest,
+                        }))
+                    },
+                )
+            }
+        }
+    }
+
+    /// Loads the database entry `name`.
+    fn load_stored(&self, name: &str) -> Result<Arc<LoadedTrace>, FacadeError> {
+        let stored = self.require_db()?.read(name).map_err(trace_error)?;
+        self.decoded(format!("name:{name}"), Some(name), stored, |format, bytes| {
+            TraceDatabase::decode(format, bytes).map_err(trace_error)
         })
     }
 
-    /// Materializes a trace reference into a validated trace + digest.
-    fn materialize(&self, r: &TraceRef) -> Result<(Arc<WorkloadTrace>, TraceDigest), FacadeError> {
-        let trace = match r {
-            TraceRef::Name(name) => {
-                self.require_db()?.load(name).map_err(|e| FacadeError::Trace(e.to_string()))?
-            }
-            TraceRef::Digest(digest) => {
-                let db = self.require_db()?;
-                let name = db
-                    .find_by_digest(*digest)
-                    .map_err(|e| FacadeError::Trace(e.to_string()))?
-                    .ok_or_else(|| {
-                        FacadeError::Trace(format!("no stored trace has digest {digest}"))
-                    })?;
-                db.load(&name).map_err(|e| FacadeError::Trace(e.to_string()))?
-            }
-            TraceRef::Path(path) => load_trace_file(path)?,
-            TraceRef::Inline(trace) => {
-                trace.validate().map_err(|e| {
-                    FacadeError::Trace(format!("inline trace has an invalid job: {e}"))
-                })?;
-                trace.clone()
-            }
-        };
-        let digest = digest_trace(&trace).map_err(|e| FacadeError::Trace(e.to_string()))?;
-        Ok((Arc::new(trace), digest))
+    /// The trace in `stored` (read from database entry `name`, or from a
+    /// file): the memo entry under `key` if it was decoded from exactly
+    /// these bytes, else `decode`'s result, which then replaces it.
+    fn decoded(
+        &self,
+        key: String,
+        name: Option<&str>,
+        stored: (TraceFormat, Vec<u8>),
+        decode: impl FnOnce(TraceFormat, &[u8]) -> Result<WorkloadTrace, FacadeError>,
+    ) -> Result<Arc<LoadedTrace>, FacadeError> {
+        if let Some(hit) = self.traces.get_if(&key, |e| e.stored.as_ref() == Some(&stored)) {
+            return Ok(hit);
+        }
+        let trace = decode(stored.0, &stored.1)?;
+        let loaded = Arc::new(LoadedTrace::new(name, Some(stored), trace)?);
+        self.traces.insert(key, Arc::clone(&loaded));
+        Ok(loaded)
+    }
+
+    /// The memo entry under `key` if `fresh` accepts it, else `load()`'s
+    /// result, which then replaces it.
+    fn memoized(
+        &self,
+        key: String,
+        fresh: impl FnOnce(&LoadedTrace) -> bool,
+        load: impl FnOnce() -> Result<Arc<LoadedTrace>, FacadeError>,
+    ) -> Result<Arc<LoadedTrace>, FacadeError> {
+        if let Some(hit) = self.traces.get_if(&key, |e| fresh(e)) {
+            return Ok(hit);
+        }
+        let loaded = load()?;
+        self.traces.insert(key, Arc::clone(&loaded));
+        Ok(loaded)
     }
 
     fn require_db(&self) -> Result<&TraceDatabase, FacadeError> {
@@ -896,6 +1050,10 @@ impl SimFacade {
             FacadeError::Trace("named trace refs need a trace database (serve --db DIR)".into())
         })
     }
+}
+
+fn no_such_digest(digest: TraceDigest) -> FacadeError {
+    FacadeError::Trace(format!("no stored trace has digest {digest}"))
 }
 
 impl Default for SimFacade {
@@ -1017,16 +1175,58 @@ mod tests {
 
     #[test]
     fn deadline_stamping_matches_manual_attachment() {
-        let mut manual = tiny_trace();
-        attach_deadlines(&mut manual, 2.0, 64, 64, 7);
-        let mut s = spec();
-        s.deadline_factor = Some(2.0);
-        s.seed = 7;
-        let resolved = SimFacade::new().resolve(&s).unwrap();
-        assert_eq!(resolved.trace.jobs[0].deadline, manual.jobs[0].deadline);
-        assert_eq!(resolved.trace.jobs[1].deadline, manual.jobs[1].deadline);
-        // the digest is of the stored trace, not the stamped one
-        assert_eq!(resolved.digest, digest_trace(&tiny_trace()).unwrap());
+        // distinct job sizes, so a misaligned T_j would show; the reversed
+        // copy has the same digest but another job order
+        let mut sized = WorkloadTrace::new("stamping", "unit");
+        for (i, arrival) in [0u64, 400, 700, 1_000].into_iter().enumerate() {
+            let maps = vec![300 + 200 * i as u64; 1 + i];
+            sized.push(JobSpec::new(
+                JobTemplate::new(
+                    format!("job-{i}"),
+                    maps,
+                    vec![150],
+                    vec![100],
+                    vec![80 * i as u64],
+                )
+                .unwrap(),
+                SimTime::from_millis(arrival),
+            ));
+        }
+        let mut reversed = sized.clone();
+        reversed.jobs.reverse();
+        assert_eq!(digest_trace(&reversed).unwrap(), digest_trace(&sized).unwrap());
+
+        let facade = SimFacade::new();
+        for trace in [&sized, &reversed, &sized] {
+            for (factor, seed, map_slots, reduce_slots) in [
+                (2.0, 7, 64, 64),
+                (1.5, 7, 64, 64),
+                (3.0, 11, 2, 1),
+                (0.5, 3, 1, 1),
+                (2.0, 7, 2, 1),
+            ] {
+                let mut manual = trace.clone();
+                attach_deadlines(&mut manual, factor, map_slots, reduce_slots, seed);
+                let mut s = ScenarioSpec::new(TraceRef::Inline(trace.clone()), PolicySpec::Fifo);
+                s.cluster = ClusterSpec::new(map_slots, reduce_slots);
+                s.deadline_factor = Some(factor);
+                s.seed = seed;
+                let resolved = facade.resolve(&s).unwrap();
+                for (got, want) in resolved.trace.jobs.iter().zip(&manual.jobs) {
+                    assert_eq!(
+                        got, want,
+                        "factor {factor} seed {seed} slots {map_slots}/{reduce_slots}"
+                    );
+                }
+                assert_eq!(resolved.trace.jobs.len(), manual.jobs.len());
+                // the digest is of the stored trace, not the stamped one
+                assert_eq!(resolved.digest, digest_trace(trace).unwrap());
+            }
+        }
+        // T_j was computed once per slot pair of the sorted trace; the
+        // reversed copy, whose order the digest does not pin, bypassed it
+        let stats = facade.durations.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (3, 7, 3));
     }
 
     fn forked_spec(at: u64, divergences: Vec<DivergenceSpec>) -> ScenarioSpec {

@@ -17,15 +17,17 @@
 //! * [`SimFacade`] — resolves specs against a trace database and runs
 //!   them: [`SimFacade::run`] for one scenario (binary trace files still
 //!   stream through the engine), [`SimFacade::run_batch`] to fan a batch
-//!   of scenarios out over all cores with one [`simmr_stats::parallel_sweep`],
-//!   loading and deadline-stamping every distinct trace exactly once.
+//!   of scenarios out over all cores with one [`simmr_stats::parallel_sweep`].
+//!   Trace loads are memoized across requests and reused only while the
+//!   stored bytes are unchanged.
 //! * [`ScenarioSpec::canonical_key`] — the normalized cache identity of
 //!   a scenario: equivalent specs (reordered capacity queues, clamped
 //!   knobs, any [`TraceRef`] spelling of the same content) map to the
 //!   same key, and the engine's determinism makes the key sound: same
 //!   key ⇒ byte-identical report.
 //! * [`ReportCache`] — a sharded memo cache from canonical key to the
-//!   serialized report, so repeated what-if queries are O(1).
+//!   serialized report, so repeated what-if queries are O(1); its
+//!   sibling [`CkptCache`] holds decoded fork-prefix checkpoints.
 //! * [`Server`] — the `simmr serve` HTTP/JSON endpoint: `POST /v1/run`,
 //!   `POST /v1/sweep` (optionally streaming partial results as NDJSON
 //!   chunks), `GET /v1/traces`, `GET /healthz`, `POST /v1/shutdown`.

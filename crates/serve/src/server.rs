@@ -2,7 +2,8 @@
 //!
 //! Protocol (JSON bodies, one request per connection):
 //!
-//! * `GET /healthz` — liveness plus cache counters.
+//! * `GET /healthz` — liveness plus the report, checkpoint and trace
+//!   memo counters.
 //! * `GET /v1/traces` — the trace database listing with content digests.
 //! * `POST /v1/run` — one [`ScenarioSpec`]; the response body is the
 //!   serialized report and the `x-simmr-cache` header says `hit` or
@@ -220,6 +221,7 @@ fn healthz(state: &ServerState) -> Response {
         ("status".to_owned(), serde::Value::Str("ok".to_owned())),
         ("cache".to_owned(), serde::Serialize::to_value(&state.cache.stats())),
         ("checkpoints".to_owned(), serde::Serialize::to_value(&state.ckpts.stats())),
+        ("traces".to_owned(), serde::Serialize::to_value(&state.facade.trace_stats())),
     ]);
     Response::json(200, serde_json::to_string(&v).expect("value serializes"))
 }

@@ -218,16 +218,30 @@ impl TraceDatabase {
 
     /// Loads the trace stored under `name`, auto-detecting the format.
     pub fn load(&self, name: &str) -> Result<WorkloadTrace, DbError> {
+        let (format, bytes) = self.read(name)?;
+        Self::decode(format, &bytes)
+    }
+
+    /// The raw bytes stored under `name` and their format: exactly what
+    /// [`Self::load`] decodes. Stores replace files by rename, so the
+    /// bytes are always one whole version of the trace.
+    pub fn read(&self, name: &str) -> Result<(TraceFormat, Vec<u8>), DbError> {
         match self.format_of(name)? {
-            Some(TraceFormat::Bin) => {
-                let bytes = std::fs::read(self.path_of(name, TraceFormat::Bin))?;
-                Ok(binfmt::decode_trace(&bytes)?)
-            }
-            Some(TraceFormat::Json) => {
-                let json = std::fs::read_to_string(self.path_of(name, TraceFormat::Json))?;
-                Ok(serde_json::from_str(&json)?)
-            }
+            Some(format) => Ok((format, std::fs::read(self.path_of(name, format))?)),
             None => Err(DbError::NotFound(name.into())),
+        }
+    }
+
+    /// Decodes bytes returned by [`Self::read`].
+    pub fn decode(format: TraceFormat, bytes: &[u8]) -> Result<WorkloadTrace, DbError> {
+        match format {
+            TraceFormat::Bin => Ok(binfmt::decode_trace(bytes)?),
+            TraceFormat::Json => {
+                let json = std::str::from_utf8(bytes).map_err(|_| {
+                    io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+                })?;
+                Ok(serde_json::from_str(json)?)
+            }
         }
     }
 

@@ -226,6 +226,57 @@ fn serve_caches_byte_identically_and_shuts_down_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The trace memo's `(hits, misses)` from `/healthz`.
+fn trace_memo(addr: SocketAddr) -> (u64, u64) {
+    let health = http(addr, "GET", "/healthz", "");
+    let v: serde_json::Value = serde_json::from_str(&health.body).expect("healthz is JSON");
+    let count = |field: &str| match v.get("traces").and_then(|t| t.get(field)) {
+        Some(serde_json::Value::U64(n)) => *n,
+        other => panic!("healthz traces.{field} is {other:?}: {}", health.body),
+    };
+    (count("hits"), count("misses"))
+}
+
+#[test]
+fn trace_memo_never_serves_an_overwritten_trace() {
+    let dir = tmpdir("restore");
+    let db = TraceDatabase::open(&dir).unwrap();
+    db.store("workload", &sample_trace()).unwrap();
+    let (addr, handle) = start_server(&dir);
+    let body = run_body("maxedf", 7);
+
+    let first = http(addr, "POST", "/v1/run", &body);
+    assert_eq!(first.header("x-simmr-cache"), Some("miss"));
+    let (hits, misses) = trace_memo(addr);
+    let again = http(addr, "POST", "/v1/run", &body);
+    assert_eq!(again.header("x-simmr-cache"), Some("hit"));
+    assert_eq!(again.body, first.body);
+    assert_eq!(trace_memo(addr), (hits + 1, misses), "the repeat reused the trace load");
+
+    // another trace under the same name, of the very same byte length
+    let mut other = sample_trace();
+    other.jobs[1].arrival = SimTime::from_millis(500);
+    let path = db.path("workload").unwrap();
+    let old_len = std::fs::metadata(&path).unwrap().len();
+    db.store("workload", &other).unwrap();
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), old_len);
+
+    let fresh = http(addr, "POST", "/v1/run", &body);
+    assert_eq!(fresh.status, 200, "body: {}", fresh.body);
+    assert_eq!(fresh.header("x-simmr-cache"), Some("miss"));
+    let digest = digest_trace(&other).unwrap().to_string();
+    assert_ne!(first.header("x-simmr-digest"), Some(digest.as_str()));
+    assert_eq!(fresh.header("x-simmr-digest"), Some(digest.as_str()));
+    assert_eq!(trace_memo(addr), (hits + 1, misses + 1), "the stale load counts as a miss");
+    let spec: ScenarioSpec = serde_json::from_str(&body).unwrap();
+    let direct = SimFacade::with_db(&dir).unwrap().run(&spec).expect("facade run");
+    assert_eq!(fresh.body, serde_json::to_string(&direct.report).unwrap());
+
+    assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
+    handle.join().expect("server thread").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serve_sweep_batches_and_streams() {
     let dir = tmpdir("sweep");
