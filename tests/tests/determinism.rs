@@ -1,15 +1,32 @@
 //! Reproducibility: every layer of the stack must be bit-for-bit
 //! deterministic given a seed — the property the whole experiment harness
 //! stands on.
+//!
+//! The engine-path differential (`trace_order_only_relabels_job_ids`)
+//! pins the job-identity contract: a job's id is its trace position, and
+//! reordering a trace (without reordering same-instant arrivals) changes
+//! nothing but those labels.
 
+use proptest::prelude::*;
 use simmr_bench::pipeline::{replay_in_simmr, run_testbed};
 use simmr_cluster::{ClusterConfig, ClusterPolicy};
 use simmr_core::{EngineCheckpoint, EngineConfig, FaultSpec, RecoverySpec, SimulatorEngine};
 use simmr_integration::small_job;
 use simmr_sched::parse_policy;
-use simmr_stats::Dist;
+use simmr_stats::{Dist, SeededRng};
 use simmr_trace::FacebookWorkload;
-use simmr_types::SimTime;
+use simmr_types::{JobId, JobSpec, JobTemplate, SimTime, SimulationReport, WorkloadTrace};
+
+const POLICIES: [&str; 8] = [
+    "fifo",
+    "maxedf",
+    "minedf",
+    "fair",
+    "maxedf-p",
+    "minedf-p",
+    "capacity",
+    "hier:j[w=2,min=1,timeout=0.5],spare[w=1]",
+];
 
 #[test]
 fn testbed_runs_identical_per_seed() {
@@ -122,5 +139,125 @@ fn conservation_every_job_completes_exactly_once() {
         }
         let max_completion = report.jobs.iter().map(|j| j.completion).max().unwrap();
         assert_eq!(report.makespan, max_completion, "{name}");
+    }
+}
+
+/// A random permutation of `0..arrivals.len()` (`order[p]` = the original
+/// position now at `p`) that keeps same-instant arrivals in their original
+/// relative order — the one ordering fact job ids are allowed to encode.
+fn tie_preserving_shuffle(arrivals: &[u64], seed: u64) -> Vec<usize> {
+    let mut rng = SeededRng::new(seed);
+    let mut order: Vec<usize> = (0..arrivals.len()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.index(i + 1));
+    }
+    let mut by_arrival: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
+    for (i, &a) in arrivals.iter().enumerate() {
+        by_arrival.entry(a).or_default().push(i);
+    }
+    for group in by_arrival.values() {
+        let slots: Vec<usize> = (0..order.len()).filter(|&p| group.contains(&order[p])).collect();
+        for (&p, &i) in slots.iter().zip(group) {
+            order[p] = i;
+        }
+    }
+    order
+}
+
+/// `report` with every job id mapped through `relabel`, its per-job rows
+/// back in id order and its timeline sorted (bars of one instant are
+/// recorded in job-id order, which a relabeling may permute).
+fn relabeled(report: &SimulationReport, relabel: &[usize]) -> SimulationReport {
+    let mut out = report.clone();
+    for row in &mut out.jobs {
+        row.job = JobId(relabel[row.job.index()] as u32);
+    }
+    out.jobs.sort_by_key(|r| r.job);
+    for bar in &mut out.timeline {
+        bar.job = JobId(relabel[bar.job.index()] as u32);
+    }
+    out.timeline.sort_by_key(|b| (b.start, b.end, b.slot, b.phase as u8, b.job));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Engine-path differential: a job's id is its trace position, so
+    /// replaying a permutation of the trace (same-instant arrivals kept
+    /// in order) must give the same report up to that relabeling — per-job
+    /// rows, timeline, makespan and event count — for every policy, under
+    /// the full perturbation stack. Durations and arrivals sit on a
+    /// 100 ms grid so arrivals tie with departures, faults and timers.
+    #[test]
+    fn trace_order_only_relabels_job_ids(
+        jobs in proptest::collection::vec(
+            // (maps, reduces, map_units, sh_units, red_units, arrival_units,
+            //  deadline_units, has_deadline)
+            (1usize..6, 0usize..4, 1u64..6, 0u64..3, 1u64..4, 0u64..12, 2u64..40,
+             proptest::bool::ANY),
+            2..12,
+        ),
+        map_slots in 2usize..6,
+        reduce_slots in 1usize..4,
+        hosts in 2usize..5,
+        fault_count in 0u32..3,
+        seed in 0u64..1_000,
+        speculation_on in proptest::bool::ANY,
+        slowdown_on in proptest::bool::ANY,
+    ) {
+        const GRID: u64 = 100;
+        let specs: Vec<JobSpec> = jobs
+            .iter()
+            .map(|&(maps, reduces, map_u, sh_u, red_u, arrival_u, deadline_u, has_deadline)| {
+                let template = JobTemplate::new(
+                    "j",
+                    vec![map_u * GRID; maps],
+                    if reduces > 0 { vec![sh_u * GRID] } else { vec![] },
+                    vec![sh_u * GRID; reduces],
+                    vec![red_u * GRID; reduces],
+                )
+                .expect("generated template is valid");
+                let arrival = SimTime::from_millis(arrival_u * GRID);
+                let spec = JobSpec::new(template, arrival);
+                if has_deadline {
+                    spec.with_deadline(arrival + deadline_u * GRID)
+                } else {
+                    spec
+                }
+            })
+            .collect();
+        let arrivals: Vec<u64> = specs.iter().map(|s| s.arrival.as_millis()).collect();
+        let order = tie_preserving_shuffle(&arrivals, seed);
+        let mut trace = WorkloadTrace::new("path-diff", "determinism");
+        let mut permuted = WorkloadTrace::new("path-diff", "determinism");
+        for spec in &specs {
+            trace.push(spec.clone());
+        }
+        for &i in &order {
+            permuted.push(specs[i].clone());
+        }
+        let mut config = EngineConfig::new(map_slots, reduce_slots)
+            .with_hosts(hosts)
+            .with_faults(FaultSpec { seed, count: fault_count, mean_interval_ms: 700 })
+            .with_recovery(RecoverySpec { seed: seed ^ 0xeca, mean_ms: 500 })
+            .with_timeline()
+            .with_invariants();
+        if speculation_on {
+            config = config.with_speculation(1.5);
+        }
+        if slowdown_on {
+            config = config
+                .with_slowdown(Dist::LogNormal { mu: -0.125, sigma: 0.5 }, seed ^ 0x5eed);
+        }
+        let identity: Vec<usize> = (0..specs.len()).collect();
+        for policy in POLICIES {
+            let run = |t: &WorkloadTrace| {
+                SimulatorEngine::new(config, t, parse_policy(policy).unwrap()).run()
+            };
+            let base = relabeled(&run(&trace), &identity);
+            let moved = relabeled(&run(&permuted), &order);
+            prop_assert_eq!(moved, base, "policy {}: trace order leaked into the report", policy);
+        }
     }
 }
