@@ -327,11 +327,12 @@ pub fn checkpoint(args: &Args) -> Result<(), String> {
         let ckpt = simmr_core::EngineCheckpoint::decode(&bytes).map_err(|e| e.to_string())?;
         println!(
             "checkpoint @ {} (settled boundary {}): policy {}, {} jobs admitted, \
-             {} pending events, {} events processed, digest {:016x}",
+             {} pending arrivals, {} pending events, {} events processed, digest {:016x}",
             ckpt.at(),
             ckpt.boundary(),
             ckpt.policy_name(),
             ckpt.jobs_admitted(),
+            ckpt.pending_arrivals(),
             ckpt.pending_events(),
             ckpt.events_processed(),
             ckpt.digest()
@@ -355,11 +356,12 @@ pub fn checkpoint(args: &Args) -> Result<(), String> {
     let bytes = ckpt.encode();
     std::fs::write(out, &bytes).map_err(|e| format!("cannot write `{out}`: {e}"))?;
     println!(
-        "checkpoint @ {} (settled boundary {}): {} jobs admitted, {} pending events, \
-         {} bytes, digest {:016x} -> {out}",
+        "checkpoint @ {} (settled boundary {}): {} jobs admitted, {} pending arrivals, \
+         {} pending events, {} bytes, digest {:016x} -> {out}",
         ckpt.at(),
         ckpt.boundary(),
         ckpt.jobs_admitted(),
+        ckpt.pending_arrivals(),
         ckpt.pending_events(),
         bytes.len(),
         ckpt.digest()

@@ -8,7 +8,8 @@
 //! event heap (with per-event insertion sequence numbers, so same-time
 //! ties keep breaking identically), the clock, the job table, slot and
 //! host state, the derived fault/slowdown plans, and the policy's own
-//! state through [`crate::SchedulerPolicy::snapshot`]. Resuming it
+//! state through [`crate::SchedulerPolicy::snapshot`] — and the jobs the
+//! run had not pulled yet, which resume feeds back as its source. Resuming
 //! continues the run **byte-identically** to never having stopped; a
 //! [`ForkSpec`] applies a divergence at the boundary instead, and
 //! [`fork_sweep`] runs the shared prefix once and fans the suffixes out in
@@ -37,9 +38,9 @@
 //! rebuilds it, and the policy blob carries only what replay cannot (see
 //! [`crate::SchedulerPolicy::restore`]).
 
-use crate::engine::{HostFailure, JobState, RunningMap, RunningReduce};
+use crate::engine::{HostFailure, JobSlot, JobState, RunningMap, RunningReduce};
 use crate::event::{Event, EventKind};
-use crate::{EngineConfig, SchedulerPolicy, SimulatorEngine};
+use crate::{EngineConfig, SchedulerPolicy, SimulatorEngine, SourcedJob};
 use simmr_stats::parallel_sweep;
 use simmr_types::{
     HostId, JobId, JobResult, JobSpec, JobTemplate, SimTime, SimulationReport, TimelineEntry,
@@ -51,8 +52,8 @@ use std::sync::Arc;
 
 /// Magic bytes opening every serialized checkpoint.
 pub const CKPT_MAGIC: &[u8; 8] = b"SIMMRCKP";
-/// Current checkpoint format version.
-pub const CKPT_VERSION: u16 = 1;
+/// Current checkpoint format version (2 added the pending arrivals).
+pub const CKPT_VERSION: u16 = 2;
 
 /// Why a checkpoint failed to decode or resume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,8 +73,8 @@ pub enum CkptError {
     },
     /// A string field is not valid UTF-8.
     BadUtf8,
-    /// The bytes parse but describe an impossible state (unknown event
-    /// kind, invalid template, out-of-range tag).
+    /// The bytes parse but describe an impossible state (unknown or
+    /// reserved event kind, invalid template, out-of-range tag).
     Malformed(String),
     /// The checkpoint is valid but incompatible with what the caller
     /// offered at resume time (wrong cluster shape, wrong policy, a
@@ -130,8 +131,7 @@ fn crc64(bytes: &[u8]) -> u64 {
 
 /// A serializable snapshot of a [`SimulatorEngine`] at a settled batch
 /// boundary. Captured by [`SimulatorEngine::checkpoint_at`]; resumed by
-/// [`SimulatorEngine::resume_materialized`] /
-/// [`SimulatorEngine::resume_with_source`]; forked by
+/// [`SimulatorEngine::resume_materialized`]; forked by
 /// [`SimulatorEngine::apply_fork`] or driven wholesale by [`fork_sweep`].
 pub struct EngineCheckpoint {
     /// The requested checkpoint instant.
@@ -141,8 +141,6 @@ pub struct EngineCheckpoint {
     pub(crate) map_slots: usize,
     pub(crate) reduce_slots: usize,
     pub(crate) hosts: usize,
-    /// Captured from a streaming engine (resume needs a fresh source).
-    pub(crate) streaming: bool,
     /// The run collects per-job results.
     pub(crate) collected: bool,
     pub(crate) jobq_dirty: bool,
@@ -151,8 +149,12 @@ pub struct EngineCheckpoint {
     pub(crate) next_seq: u64,
     pub(crate) pushed: u64,
     pub(crate) last_pulled_arrival: SimTime,
+    /// Ids handed out: the source's job count plus injected jobs.
+    pub(crate) job_ids: usize,
     pub(crate) jobs_base: usize,
-    pub(crate) jobs: Vec<Option<JobState>>,
+    pub(crate) jobs: Vec<JobSlot>,
+    /// The source's not-yet-pulled jobs, in pull order.
+    pub(crate) pending: Vec<SourcedJob>,
     pub(crate) free_map_slots: Vec<u32>,
     pub(crate) free_reduce_slots: Vec<u32>,
     pub(crate) dead_hosts: Vec<bool>,
@@ -187,10 +189,15 @@ impl EngineCheckpoint {
         &self.policy_name
     }
 
-    /// Jobs admitted so far (live, departed, and — for materialized
-    /// engines — future arrivals already in the table).
+    /// Jobs pulled by the boundary (the next arrival included) or
+    /// injected by a fork; the rest are [`Self::pending_arrivals`].
     pub fn jobs_admitted(&self) -> usize {
-        self.jobs_base + self.jobs.len()
+        self.job_ids - self.pending.len()
+    }
+
+    /// Jobs the run's source had not yielded yet; resume pulls them.
+    pub fn pending_arrivals(&self) -> usize {
+        self.pending.len()
     }
 
     /// Events still pending in the snapshot's heap.
@@ -219,8 +226,7 @@ impl EngineCheckpoint {
         put_u32(&mut out, self.map_slots as u32);
         put_u32(&mut out, self.reduce_slots as u32);
         put_u32(&mut out, self.hosts as u32);
-        let flags =
-            (self.streaming as u8) | (self.collected as u8) << 1 | (self.jobq_dirty as u8) << 2;
+        let flags = (self.collected as u8) | (self.jobq_dirty as u8) << 1;
         out.push(flags);
         put_u64(&mut out, self.last_pulled_arrival.as_millis());
         put_opt_time(&mut out, self.policy_wakeup_at);
@@ -250,37 +256,48 @@ impl EngineCheckpoint {
         put_f64_vec(&mut out, &self.map_slowdown);
         put_f64_vec(&mut out, &self.reduce_slowdown);
         // Templates are content-interned in first-appearance order over
-        // the job table, so re-encoding a decoded checkpoint reproduces
-        // the table byte for byte.
+        // the job table, then the pending arrivals, so re-encoding a
+        // decoded checkpoint reproduces the table byte for byte.
         let mut template_bytes: Vec<Vec<u8>> = Vec::new();
         let mut template_ids: HashMap<Vec<u8>, u32> = HashMap::new();
-        let mut job_template: Vec<u32> = Vec::with_capacity(self.jobs.len());
-        for job in self.jobs.iter().flatten() {
-            let enc = encode_template(&job.template);
-            let next = template_bytes.len() as u32;
-            let id = *template_ids.entry(enc.clone()).or_insert_with(|| {
-                template_bytes.push(enc);
-                next
-            });
-            job_template.push(id);
-        }
+        let live_templates = self.jobs.iter().filter_map(JobSlot::state).map(|job| &job.template);
+        let job_template: Vec<u32> = live_templates
+            .chain(self.pending.iter().map(|job| &job.template))
+            .map(|template| {
+                let enc = encode_template(template);
+                let next = template_bytes.len() as u32;
+                *template_ids.entry(enc.clone()).or_insert_with(|| {
+                    template_bytes.push(enc);
+                    next
+                })
+            })
+            .collect();
         put_u32(&mut out, template_bytes.len() as u32);
         for t in &template_bytes {
             out.extend_from_slice(t);
         }
+        put_u64(&mut out, self.job_ids as u64);
         put_u64(&mut out, self.jobs_base as u64);
         put_u32(&mut out, self.jobs.len() as u32);
         let mut live = 0usize;
-        for job in &self.jobs {
-            match job {
-                None => out.push(0),
-                Some(state) => {
+        for slot in &self.jobs {
+            match slot {
+                JobSlot::Retired => out.push(0),
+                JobSlot::Live(state) => {
                     out.push(1);
                     let tid = job_template[live];
                     live += 1;
                     encode_job(&mut out, state, tid);
                 }
+                JobSlot::Pending => out.push(2),
             }
+        }
+        put_u32(&mut out, self.pending.len() as u32);
+        for (job, &tid) in self.pending.iter().zip(&job_template[live..]) {
+            put_u32(&mut out, job.id.0);
+            put_u32(&mut out, tid);
+            put_u64(&mut out, job.arrival.as_millis());
+            put_opt_time(&mut out, job.deadline);
         }
         put_u32(&mut out, self.timeline.len() as u32);
         for bar in &self.timeline {
@@ -345,12 +362,11 @@ impl EngineCheckpoint {
         let reduce_slots = c.u32()? as usize;
         let hosts = c.u32()? as usize;
         let flags = c.u8()?;
-        if flags & !0b111 != 0 {
+        if flags & !0b11 != 0 {
             return Err(CkptError::Malformed(format!("unknown flag bits {flags:#04x}")));
         }
-        let streaming = flags & 1 != 0;
-        let collected = flags & 2 != 0;
-        let jobq_dirty = flags & 4 != 0;
+        let collected = flags & 1 != 0;
+        let jobq_dirty = flags & 2 != 0;
         let last_pulled_arrival = SimTime::from_millis(c.u64()?);
         let policy_wakeup_at = c.opt_time()?;
         let events_processed = c.u64()?;
@@ -387,15 +403,26 @@ impl EngineCheckpoint {
         for _ in 0..n_templates {
             templates.push(Arc::new(c.template()?));
         }
+        let job_ids = c.u64()? as usize;
         let jobs_base = c.u64()? as usize;
         let n_jobs = c.len_u32()?;
-        let mut jobs: Vec<Option<JobState>> = Vec::with_capacity(n_jobs);
+        let mut jobs: Vec<JobSlot> = Vec::with_capacity(n_jobs);
         for _ in 0..n_jobs {
             match c.u8()? {
-                0 => jobs.push(None),
-                1 => jobs.push(Some(c.job(&templates)?)),
+                0 => jobs.push(JobSlot::Retired),
+                1 => jobs.push(JobSlot::Live(Box::new(c.job(&templates)?))),
+                2 => jobs.push(JobSlot::Pending),
                 t => return Err(CkptError::Malformed(format!("unknown job slot tag {t}"))),
             }
+        }
+        let n_pending = c.len_u32()?;
+        let mut pending = Vec::with_capacity(n_pending);
+        for _ in 0..n_pending {
+            let id = JobId(c.u32()?);
+            let template = c.interned(&templates)?;
+            let arrival = SimTime::from_millis(c.u64()?);
+            let deadline = c.opt_time()?;
+            pending.push(SourcedJob { id, template, arrival, deadline });
         }
         let n_bars = c.len_u32()?;
         let mut timeline = Vec::with_capacity(n_bars);
@@ -451,21 +478,27 @@ impl EngineCheckpoint {
                 body.len() - c.pos
             )));
         }
+        // every pending or collected job has an id below `job_ids`
+        let ids_fit = pending.len() <= job_ids && pending.iter().all(|j| j.id.index() < job_ids);
+        if !ids_fit || (collected && results.len() != job_ids) {
+            return Err(CkptError::Malformed(format!("job rows disagree with {job_ids} job ids")));
+        }
         Ok(EngineCheckpoint {
             at,
             clock,
             map_slots,
             reduce_slots,
             hosts,
-            streaming,
             collected,
             jobq_dirty,
             events,
             next_seq,
             pushed,
             last_pulled_arrival,
+            job_ids,
             jobs_base,
             jobs,
+            pending,
             free_map_slots,
             free_reduce_slots,
             dead_hosts,
@@ -581,13 +614,13 @@ where
     .collect()
 }
 
+/// Event-kind tags. 2 and 4 named the task-arrival marker kinds, which
+/// were never enqueued; they stay reserved and decode as malformed.
 fn event_kind_tag(kind: EventKind) -> u8 {
     match kind {
         EventKind::JobArrival => 0,
         EventKind::JobDeparture => 1,
-        EventKind::MapTaskArrival => 2,
         EventKind::MapTaskDeparture => 3,
-        EventKind::ReduceTaskArrival => 4,
         EventKind::ReduceTaskDeparture => 5,
         EventKind::AllMapsFinished => 6,
         EventKind::HostFailure => 7,
@@ -601,9 +634,7 @@ fn event_kind_from_tag(tag: u8) -> Result<EventKind, CkptError> {
     Ok(match tag {
         0 => EventKind::JobArrival,
         1 => EventKind::JobDeparture,
-        2 => EventKind::MapTaskArrival,
         3 => EventKind::MapTaskDeparture,
-        4 => EventKind::ReduceTaskArrival,
         5 => EventKind::ReduceTaskDeparture,
         6 => EventKind::AllMapsFinished,
         7 => EventKind::HostFailure,
@@ -826,17 +857,19 @@ impl<'b> Cursor<'b> {
         Ok(t)
     }
 
-    fn job(&mut self, templates: &[Arc<JobTemplate>]) -> Result<JobState, CkptError> {
+    /// A template-table index, resolved.
+    fn interned(&mut self, templates: &[Arc<JobTemplate>]) -> Result<Arc<JobTemplate>, CkptError> {
         let tid = self.u32()? as usize;
-        let template = templates
-            .get(tid)
-            .ok_or_else(|| {
-                CkptError::Malformed(format!(
-                    "job names template {tid} of {} interned",
-                    templates.len()
-                ))
-            })?
-            .clone();
+        templates.get(tid).cloned().ok_or_else(|| {
+            CkptError::Malformed(format!(
+                "job names template {tid} of {} interned",
+                templates.len()
+            ))
+        })
+    }
+
+    fn job(&mut self, templates: &[Arc<JobTemplate>]) -> Result<JobState, CkptError> {
+        let template = self.interned(templates)?;
         let arrival = SimTime::from_millis(self.u64()?);
         let deadline = self.opt_time()?;
         let maps_total = self.u32()? as usize;
@@ -1042,21 +1075,11 @@ mod tests {
         .checkpoint_at(SimTime::from_millis(140))
         .unwrap();
         let ckpt = EngineCheckpoint::decode(&ckpt.encode()).unwrap();
-        let resumed = SimulatorEngine::resume_with_source(
-            config,
-            &ckpt,
-            Box::new(TraceJobSource::new(&trace)),
-            Box::new(TestFifo),
-        )
-        .unwrap()
-        .try_run()
-        .unwrap();
+        let resumed = SimulatorEngine::resume_materialized(config, &ckpt, Box::new(TestFifo))
+            .unwrap()
+            .try_run()
+            .unwrap();
         assert_eq!(resumed, full);
-        // a materialized resume of a streaming checkpoint is refused
-        let err = SimulatorEngine::resume_materialized(config, &ckpt, Box::new(TestFifo))
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, CkptError::Mismatch(_)), "{err}");
     }
 
     #[test]
@@ -1131,6 +1154,133 @@ mod tests {
         let crc = crc64(&wrong_version[..body_len]);
         wrong_version[body_len..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(decode_err(&wrong_version), CkptError::BadVersion(0x00FF));
+    }
+
+    /// Re-signs `bytes` after an in-place edit, so decoding gets past the
+    /// checksum to the edited field.
+    fn resign(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 8;
+        let crc = crc64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_refused() {
+        let trace = busy_trace();
+        let ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
+            .checkpoint_at(SimTime::from_millis(100))
+            .unwrap();
+        let mut v1 = ckpt.encode();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        resign(&mut v1);
+        let err = EngineCheckpoint::decode(&v1).map(|_| ()).unwrap_err();
+        assert_eq!(err, CkptError::BadVersion(1));
+    }
+
+    #[test]
+    fn reserved_event_kind_tags_are_malformed() {
+        // tags 2 and 4 named the never-enqueued task-arrival markers
+        let trace = busy_trace();
+        let ckpt = SimulatorEngine::new(EngineConfig::new(3, 2), &trace, Box::new(TestFifo))
+            .checkpoint_at(SimTime::from_millis(100))
+            .unwrap();
+        assert!(ckpt.pending_events() > 0);
+        assert_eq!(ckpt.policy_wakeup_at, None);
+        // magic, version, at, clock, 3 shape words, flags, last pull,
+        // wakeup tag, events processed, makespan, next seq, pushed, event
+        // count; then the first event's time and seq precede its kind
+        let kind_at = 8 + 2 + 8 + 8 + 12 + 1 + 8 + 1 + 8 + 8 + 8 + 8 + 4 + 8 + 8;
+        let bytes = ckpt.encode();
+        assert_eq!(bytes[kind_at], event_kind_tag(ckpt.events[0].kind));
+        for tag in [2u8, 4] {
+            let mut reserved = bytes.clone();
+            reserved[kind_at] = tag;
+            resign(&mut reserved);
+            let err = EngineCheckpoint::decode(&reserved).map(|_| ()).unwrap_err();
+            assert!(matches!(err, CkptError::Malformed(_)), "tag {tag}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn job_id_count_must_cover_pending_and_results() {
+        let trace = busy_trace();
+        let mut ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
+            .checkpoint_at(SimTime::from_millis(100))
+            .unwrap();
+        ckpt.job_ids = 1;
+        let err = EngineCheckpoint::decode(&ckpt.encode()).map(|_| ()).unwrap_err();
+        assert!(matches!(err, CkptError::Malformed(_)), "{err:?}");
+    }
+
+    #[test]
+    fn checkpoints_carry_the_unpulled_jobs() {
+        let trace = busy_trace();
+        let config = busy_config();
+        // arrivals every 55 ms; the next arrival is always pulled already
+        for (at, admitted) in [(0u64, 2usize), (150, 4), (100_000, 6)] {
+            let ckpt = SimulatorEngine::new(config, &trace, Box::new(TestFifo))
+                .checkpoint_at(SimTime::from_millis(at))
+                .unwrap();
+            assert_eq!(ckpt.jobs_admitted(), admitted, "at t={at}");
+            assert_eq!(ckpt.pending_arrivals(), trace.len() - admitted, "at t={at}");
+        }
+    }
+
+    #[test]
+    fn resume_with_out_of_order_trace_matches_uninterrupted() {
+        // trace order is not arrival order: job 0 arrives last, so the
+        // checkpoint's job window holds a not-yet-pulled hole at its front
+        let mut trace = busy_trace();
+        trace.jobs[0].arrival = SimTime::from_millis(420);
+        let config = busy_config();
+        let full = SimulatorEngine::new(config, &trace, Box::new(TestFifo)).try_run().unwrap();
+        assert_eq!(full.jobs[0].arrival, SimTime::from_millis(420));
+        for at in [0u64, 120, 300, 500] {
+            let ckpt = SimulatorEngine::new(config, &trace, Box::new(TestFifo))
+                .checkpoint_at(SimTime::from_millis(at))
+                .unwrap();
+            let ckpt = EngineCheckpoint::decode(&ckpt.encode()).unwrap();
+            let resumed = SimulatorEngine::resume_materialized(config, &ckpt, Box::new(TestFifo))
+                .unwrap()
+                .try_run()
+                .unwrap();
+            assert_eq!(resumed, full, "divergence resuming from t={at}");
+        }
+    }
+
+    #[test]
+    fn surge_jobs_get_ids_after_the_trace() {
+        // injected jobs get ids trace_len + k, cold (run_forked) and warm
+        // (resume + apply_fork) alike, even once the source is drained; the
+        // second surge job ties with trace job 4 (arrival 220), which was
+        // not pulled yet at t=160 but still arrives first, as its id says
+        let trace = busy_trace();
+        let config = busy_config();
+        for at in [160u64, 100_000] {
+            let fork = || {
+                ForkSpec::new(
+                    SimTime::from_millis(at),
+                    vec![Divergence::ArrivalSurge(vec![job(2, 1, 30, 0), job(1, 0, 20, 220)])],
+                )
+            };
+            let cold = SimulatorEngine::new(config, &trace, Box::new(TestFifo))
+                .run_forked(fork())
+                .unwrap();
+            let ckpt = SimulatorEngine::new(config, &trace, Box::new(TestFifo))
+                .checkpoint_at(SimTime::from_millis(at))
+                .unwrap();
+            let mut warm =
+                SimulatorEngine::resume_materialized(config, &ckpt, Box::new(TestFifo)).unwrap();
+            warm.apply_fork(fork()).unwrap();
+            let warm = warm.try_run().unwrap();
+            assert_eq!(warm, cold, "fork at t={at}");
+            let n = trace.len();
+            assert_eq!(cold.jobs.len(), n + 2);
+            for (k, row) in cold.jobs[n..].iter().enumerate() {
+                assert_eq!(row.job, JobId((n + k) as u32));
+                assert_eq!(row.num_maps, 2 - k);
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::event::EventKind;
 use crate::invariants::InvariantState;
 use crate::jobq::{JobEntry, JobQueue, SchedulerPolicy};
 use crate::queue::EventQueue;
-use crate::source::{JobSource, SourceError};
+use crate::source::{JobSource, SourceError, TraceJobSource};
 use simmr_stats::{Dist, Distribution, SeededRng};
 use simmr_types::{
     DurationMs, HostId, JobId, JobResult, JobTemplate, SimTime, SimulationReport, TimelineEntry,
@@ -207,61 +207,86 @@ impl JobState {
     }
 }
 
+/// One id's slot in the [`JobTable`] (and in a checkpoint's copy of it).
+#[derive(Debug, Clone)]
+pub(crate) enum JobSlot {
+    /// Not pulled from the source yet (only an out-of-order source leaves
+    /// these below the newest admission).
+    Pending,
+    Live(Box<JobState>),
+    Retired,
+}
+
+impl JobSlot {
+    pub(crate) fn state(&self) -> Option<&JobState> {
+        if let JobSlot::Live(state) = self {
+            Some(state)
+        } else {
+            None
+        }
+    }
+}
+
 /// The engine's job-state table, addressed by [`JobId`].
 ///
-/// Jobs are appended in id order and **retired** on departure: a retired
-/// slot drops its boxed state immediately and the window compacts from
-/// the front, so resident memory tracks the span between the oldest live
-/// job and the newest admission — not the trace length. A retired id
-/// resolves to `None`, which is what makes stale in-flight events of
-/// departed jobs (duplicate departures, straggler timers, killed-attempt
-/// departures) cheap no-ops. Ids are never reused.
+/// Jobs are admitted under their source's ids and **retired** on
+/// departure: a retired slot drops its boxed state immediately and the
+/// window compacts from the front (never past a still-pending id), so
+/// resident memory tracks the span between the oldest live job and the
+/// newest admission — not the trace length. A retired id resolves to
+/// `None`, which is what makes stale in-flight events of departed jobs
+/// (duplicate departures, straggler timers, killed-attempt departures)
+/// cheap no-ops. Ids are never reused.
 #[derive(Debug, Default)]
 pub(crate) struct JobTable {
-    /// Live window; index `i` holds the state of `JobId(base + i)`.
-    slots: VecDeque<Option<Box<JobState>>>,
+    /// Live window; index `i` holds the slot of `JobId(base + i)`.
+    slots: VecDeque<JobSlot>,
     /// Id of the oldest slot still in the window.
     base: usize,
 }
 
 impl JobTable {
-    fn with_capacity(n: usize) -> Self {
-        JobTable { slots: VecDeque::with_capacity(n), base: 0 }
-    }
-
-    /// Jobs ever admitted (also the next id to be assigned).
-    pub(crate) fn total(&self) -> usize {
-        self.base + self.slots.len()
-    }
-
     /// The id window `[lo, hi)` that may hold live jobs.
     pub(crate) fn id_range(&self) -> (usize, usize) {
         (self.base, self.base + self.slots.len())
     }
 
-    /// Admits a job, assigning the next id.
-    fn push(&mut self, state: Box<JobState>) -> JobId {
-        let id = self.total();
-        self.slots.push_back(Some(state));
-        JobId(id as u32)
+    /// Admits a job under `job`; false when the id was admitted before.
+    fn admit(&mut self, job: JobId, state: Box<JobState>) -> bool {
+        let Some(i) = job.index().checked_sub(self.base) else {
+            return false;
+        };
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || JobSlot::Pending);
+        }
+        if !matches!(self.slots[i], JobSlot::Pending) {
+            return false;
+        }
+        self.slots[i] = JobSlot::Live(state);
+        true
     }
 
     pub(crate) fn get(&self, job: JobId) -> Option<&JobState> {
-        self.slots.get(job.index().checked_sub(self.base)?)?.as_deref()
+        self.slots.get(job.index().checked_sub(self.base)?)?.state()
     }
 
     fn get_mut(&mut self, job: JobId) -> Option<&mut JobState> {
-        self.slots.get_mut(job.index().checked_sub(self.base)?)?.as_deref_mut()
+        let slot = self.slots.get_mut(job.index().checked_sub(self.base)?)?;
+        if let JobSlot::Live(state) = slot {
+            Some(state)
+        } else {
+            None
+        }
     }
 
     /// Drops a departed job's state and compacts the window front.
     fn retire(&mut self, job: JobId) {
         if let Some(i) = job.index().checked_sub(self.base) {
             if let Some(slot) = self.slots.get_mut(i) {
-                *slot = None;
+                *slot = JobSlot::Retired;
             }
         }
-        while matches!(self.slots.front(), Some(None)) {
+        while matches!(self.slots.front(), Some(JobSlot::Retired)) {
             self.slots.pop_front();
             self.base += 1;
         }
@@ -269,20 +294,7 @@ impl JobTable {
 
     /// Iterates the live jobs in id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (JobId, &JobState)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_deref().map(|state| (JobId((self.base + i) as u32), state)))
-    }
-
-    /// The raw window slots (including retired holes), for checkpointing.
-    pub(crate) fn raw_slots(&self) -> impl Iterator<Item = Option<&JobState>> {
-        self.slots.iter().map(|s| s.as_deref())
-    }
-
-    /// Reassembles a table from a checkpoint's `(base, slots)` capture.
-    pub(crate) fn from_parts(base: usize, slots: Vec<Option<Box<JobState>>>) -> Self {
-        JobTable { slots: slots.into(), base }
+        (self.base..).zip(&self.slots).filter_map(|(id, s)| Some((JobId(id as u32), s.state()?)))
     }
 }
 
@@ -305,17 +317,19 @@ const RECOVERY_STREAM: u64 = 3;
 
 /// The SimMR Simulator Engine.
 ///
-/// Replays a [`WorkloadTrace`] against a slot-based job-master model under a
-/// pluggable [`SchedulerPolicy`]. See the crate docs for the model and an
+/// Replays the jobs of a [`JobSource`] (a [`WorkloadTrace`] via
+/// [`Self::new`]) against a slot-based job-master model under a pluggable
+/// [`SchedulerPolicy`]. See the crate docs for the model and an
 /// end-to-end example.
 pub struct SimulatorEngine<'a> {
     pub(crate) config: EngineConfig,
-    /// Streaming job feed ([`Self::from_source`]); `None` for engines built
-    /// from a materialized trace, whose arrivals are all pushed up front.
-    source: Option<Box<dyn JobSource + 'a>>,
+    /// The job feed, pulled one arrival ahead of the clock.
+    source: Box<dyn JobSource + 'a>,
     /// Arrival of the most recently pulled job, for enforcing the source's
     /// ordering contract.
     last_pulled_arrival: SimTime,
+    /// Ids handed out: the source's `0..job_count`, then injected jobs'.
+    job_ids: usize,
     /// Visible to the invariant checker, which runs the policy's own
     /// `verify_invariants` hook against the settled queue view.
     pub(crate) policy: Box<dyn SchedulerPolicy + 'a>,
@@ -354,9 +368,9 @@ pub struct SimulatorEngine<'a> {
     /// settled batch this is the batch instant, which is what a checkpoint
     /// records as its boundary.
     clock: SimTime,
-    /// Set once the initial events (arrivals, fault plan, recoveries) have
-    /// been seeded; a resumed engine starts seeded (its event heap came
-    /// from the checkpoint).
+    /// Set once the initial events (first arrival, fault plan,
+    /// recoveries) have been seeded; a resumed engine starts seeded (its
+    /// event heap came from the checkpoint).
     seeded: bool,
     events_processed: u64,
     timeline: Vec<TimelineEntry>,
@@ -373,76 +387,35 @@ pub struct SimulatorEngine<'a> {
 }
 
 impl<'a> SimulatorEngine<'a> {
-    /// Builds an engine for one simulation run.
+    /// Builds an engine replaying a materialized trace (job ids are trace
+    /// positions): [`Self::from_source`] over a [`TraceJobSource`].
     ///
-    /// # Panics
-    ///
-    /// Panics if the trace contains a structurally invalid job template
-    /// (impossible for traces built through [`simmr_types::JobTemplate::new`],
-    /// possible for hand-edited serialized traces).
+    /// Never panics: templates are validated as jobs are pulled, so an
+    /// invalid one fails the run with a [`SourceError`] from
+    /// [`Self::try_run`] (a panic from [`Self::run`]).
     pub fn new(
         config: EngineConfig,
         trace: &'a WorkloadTrace,
         policy: Box<dyn SchedulerPolicy + 'a>,
     ) -> Self {
-        trace.validate().expect("workload trace contains an invalid job template");
-        let mut jobs = JobTable::with_capacity(trace.jobs.len());
-        for spec in &trace.jobs {
-            jobs.push(Box::new(JobState::new(
-                Arc::new(spec.template.clone()),
-                spec.arrival,
-                spec.deadline,
-                &config,
-            )));
-        }
-        let timeline_bars = if config.record_timeline {
-            // one bar per map attempt (preemptions may add more) plus a
-            // shuffle and a reduce bar per reduce task
-            trace.jobs.iter().map(|s| s.template.num_maps + 2 * s.template.num_reduces).sum()
-        } else {
-            0
-        };
-        // in-flight events: per-job arrival/departure bookkeeping plus
-        // at most one departure per occupied slot and the fault plan
-        let queue_capacity = trace.jobs.len()
-            + config.cluster.map_slots
-            + config.cluster.reduce_slots
-            + config.faults.map_or(0, |f| f.count as usize)
-            + 8;
-        Self::with_parts(config, None, policy, jobs, queue_capacity, timeline_bars)
+        Self::from_source(config, Box::new(TraceJobSource::new(trace)), policy)
     }
 
-    /// Builds an engine fed by a streaming [`JobSource`] instead of a
-    /// materialized trace.
+    /// Builds an engine fed by a [`JobSource`].
     ///
     /// Exactly one arrival of lookahead is held in the event queue: the
     /// next job is pulled when the current arrival event pops, and a
     /// departed job's state is dropped immediately, so resident memory
     /// tracks the *active* job span rather than the source's job count.
-    /// Source failures (I/O, decode, an out-of-order arrival) surface
-    /// through [`Self::try_run`].
+    /// Source failures (I/O, decode, an out-of-order arrival, an invalid
+    /// template) surface through [`Self::try_run`].
     pub fn from_source(
         config: EngineConfig,
         source: Box<dyn JobSource + 'a>,
         policy: Box<dyn SchedulerPolicy + 'a>,
     ) -> Self {
-        // nothing here is sized by the source's job count
-        let queue_capacity = config.cluster.map_slots
-            + config.cluster.reduce_slots
-            + config.faults.map_or(0, |f| f.count as usize)
-            + 16;
-        Self::with_parts(config, Some(source), policy, JobTable::default(), queue_capacity, 0)
-    }
-
-    fn with_parts(
-        config: EngineConfig,
-        source: Option<Box<dyn JobSource + 'a>>,
-        policy: Box<dyn SchedulerPolicy + 'a>,
-        jobs: JobTable,
-        queue_capacity: usize,
-        timeline_bars: usize,
-    ) -> Self {
         let cluster = config.cluster;
+        let job_ids = source.job_count();
         let (map_slowdown, reduce_slowdown) = match config.slowdown {
             Some(sd) => {
                 let mut rng = SeededRng::new(sd.seed).fork(SLOWDOWN_STREAM);
@@ -470,14 +443,20 @@ impl<'a> SimulatorEngine<'a> {
             }
             _ => Vec::new(),
         };
-        let results =
-            if config.collect_job_results { vec![None; jobs.total()] } else { Vec::new() };
+        // in-flight events: the arrival lookahead, at most one departure
+        // per occupied slot, and the fault plan
+        let queue_capacity = cluster.map_slots
+            + cluster.reduce_slots
+            + config.faults.map_or(0, |f| f.count as usize)
+            + 16;
+        let results = if config.collect_job_results { vec![None; job_ids] } else { Vec::new() };
         SimulatorEngine {
             config,
             source,
             last_pulled_arrival: SimTime::ZERO,
+            job_ids,
             policy,
-            queue: EventQueue::with_capacity(queue_capacity),
+            queue: EventQueue::with_capacity(queue_capacity).reserve_arrival_seqs(job_ids),
             free_map_slots: (0..cluster.map_slots as u32).rev().collect(),
             free_reduce_slots: (0..cluster.reduce_slots as u32).rev().collect(),
             dead_hosts: vec![false; cluster.hosts],
@@ -486,15 +465,15 @@ impl<'a> SimulatorEngine<'a> {
             fault_plan,
             map_slowdown,
             reduce_slowdown,
-            jobq: JobQueue::with_capacity(jobs.total().min(1024)),
+            jobs: JobTable::default(),
+            jobq: JobQueue::with_capacity(job_ids.min(1024)),
             jobq_dirty: false,
             victims: Vec::new(),
             policy_wakeup_at: None,
             clock: SimTime::ZERO,
             seeded: false,
-            jobs,
             events_processed: 0,
-            timeline: Vec::with_capacity(timeline_bars),
+            timeline: Vec::new(),
             results,
             makespan: SimTime::ZERO,
             invariants: config.invariants_enabled().then(|| Box::new(InvariantState::new(&config))),
@@ -531,20 +510,17 @@ impl<'a> SimulatorEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the job source fails mid-run (impossible for engines built
-    /// with [`Self::new`]); streaming callers who want the failure as a
-    /// value use [`Self::try_run`].
+    /// Panics if the job source fails mid-run — for engines built with
+    /// [`Self::new`], only a trace holding an invalid job template; callers
+    /// who want the failure as a value use [`Self::try_run`].
     pub fn run(self) -> SimulationReport {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Pulls one job from the streaming source (if any) into the job table
-    /// and schedules its arrival — the engine's one-event lookahead.
+    /// Pulls one job from the source into the job table and schedules its
+    /// arrival — the engine's one-event lookahead.
     fn pull_next_arrival(&mut self) -> Result<(), SourceError> {
-        let Some(src) = self.source.as_deref_mut() else {
-            return Ok(());
-        };
-        let Some(job) = src.next_job()? else {
+        let Some(job) = self.source.next_job()? else {
             return Ok(());
         };
         if job.arrival < self.last_pulled_arrival {
@@ -555,32 +531,35 @@ impl<'a> SimulatorEngine<'a> {
             )));
         }
         job.template.validate().map_err(|e| SourceError::new(e.to_string()))?;
-        self.last_pulled_arrival = job.arrival;
+        // An arrival's sequence number is its id (`push_arrival`), so ids
+        // must be in range and new: they order same-instant arrivals.
         let state = JobState::new(job.template, job.arrival, job.deadline, &self.config);
-        let id = self.jobs.push(Box::new(state));
-        if self.config.collect_job_results {
-            self.results.push(None);
+        if job.id.index() >= self.job_ids || !self.jobs.admit(job.id, Box::new(state)) {
+            return Err(SourceError::new(format!(
+                "job id {} is out of range or already admitted",
+                job.id
+            )));
         }
-        self.queue.push(job.arrival, EventKind::JobArrival, id, 0);
+        self.last_pulled_arrival = job.arrival;
+        self.queue.push_arrival(job.arrival, job.id);
         Ok(())
     }
 
-    /// Runs the simulation to completion, surfacing streaming-source
-    /// failures (I/O, decode, ordering violations) as errors.
+    /// Runs the simulation to completion, surfacing job-source failures
+    /// (I/O, decode, ordering violations, invalid templates) as errors.
     pub fn try_run(mut self) -> Result<SimulationReport, SourceError> {
-        self.seed()?;
         self.run_loop(None)?;
         Ok(self.finish())
     }
 
     /// Runs the shared prefix to the last settled batch at or before `t`
-    /// and captures it as a checkpoint. The returned snapshot, resumed
-    /// through [`Self::resume_materialized`] / [`Self::resume_with_source`],
-    /// continues the run byte-identically to never having stopped.
+    /// and captures it as a checkpoint. The source's not-yet-pulled jobs
+    /// are drained into the checkpoint, so the snapshot carries the rest
+    /// of the run: resumed through [`Self::resume_materialized`], it
+    /// continues byte-identically to never having stopped.
     pub fn checkpoint_at(mut self, t: SimTime) -> Result<crate::EngineCheckpoint, SourceError> {
-        self.seed()?;
         self.run_loop(Some(t))?;
-        Ok(self.capture(t))
+        self.capture(t)
     }
 
     /// Runs the engine to completion with `fork`'s divergences applied at
@@ -589,34 +568,22 @@ impl<'a> SimulatorEngine<'a> {
     /// paths go through the same [`Self::apply_fork`], so divergence
     /// semantics cannot drift between them.
     pub fn run_forked(mut self, fork: crate::ForkSpec) -> Result<SimulationReport, SourceError> {
-        self.seed()?;
         self.run_loop(Some(fork.at))?;
         self.apply_fork(fork).map_err(|e| SourceError::new(e.to_string()))?;
         self.run_loop(None)?;
         Ok(self.finish())
     }
 
-    /// Seeds the initial events. Materialized engines push every arrival
-    /// up front (ids in trace order, preserving the exact historical event
-    /// sequence); streaming engines hold one arrival of lookahead and pull
-    /// the next each time an arrival pops. The fault plan and its
-    /// recoveries are seeded alongside. A no-op on resumed engines, whose
-    /// event heap already carries everything still pending.
+    /// Seeds the initial events on the first [`Self::run_loop`]: the
+    /// first arrival (each popped arrival pulls the next), the fault plan
+    /// and its recoveries. A no-op on resumed engines, whose event heap
+    /// already carries everything still pending.
     fn seed(&mut self) -> Result<(), SourceError> {
         if self.seeded {
             return Ok(());
         }
         self.seeded = true;
-        if self.source.is_some() {
-            self.pull_next_arrival()?;
-        } else {
-            let (lo, hi) = self.jobs.id_range();
-            for i in lo..hi {
-                let id = JobId(i as u32);
-                let arrival = self.jobs.get(id).expect("fresh job table has no holes").arrival;
-                self.queue.push(arrival, EventKind::JobArrival, id, 0);
-            }
-        }
+        self.pull_next_arrival()?;
         for i in 0..self.fault_plan.len() {
             let f = self.fault_plan[i];
             self.queue.push(f.at, EventKind::HostFailure, JobId(0), f.host.0);
@@ -641,6 +608,7 @@ impl<'a> SimulatorEngine<'a> {
     /// check only ever fires between batches, so a stopped engine is
     /// always in a checkpointable (fully settled) state.
     fn run_loop(&mut self, stop_after: Option<SimTime>) -> Result<(), SourceError> {
+        self.seed()?;
         loop {
             if let Some(stop) = stop_after {
                 match self.queue.next_time() {
@@ -672,12 +640,6 @@ impl<'a> SimulatorEngine<'a> {
                     // a same-instant next arrival must join this batch so
                     // the policy sees every job submitted at the instant.
                     self.pull_next_arrival()?;
-                }
-                EventKind::MapTaskArrival | EventKind::ReduceTaskArrival => {
-                    // task placements are counted at launch time and no
-                    // longer travel through the priority queue; nothing
-                    // else enqueues these kinds
-                    debug_assert!(false, "marker event in queue");
                 }
                 EventKind::MapTaskDeparture => {
                     self.on_map_departure(job, event.task_index, event.attempt, now)
@@ -1539,110 +1501,63 @@ impl<'a> SimulatorEngine<'a> {
     }
 
     /// Snapshots the engine's full deterministic state at the current
-    /// settled boundary. `at` records the *requested* checkpoint instant;
-    /// the actual boundary is `clock` (the last settled batch at or
-    /// before `at`).
-    fn capture(&self, at: SimTime) -> crate::EngineCheckpoint {
+    /// settled boundary, draining the source's not-yet-pulled jobs into
+    /// it. `at` records the *requested* checkpoint instant; the actual
+    /// boundary is `clock` (the last settled batch at or before `at`).
+    fn capture(mut self, at: SimTime) -> Result<crate::EngineCheckpoint, SourceError> {
+        let mut pending = Vec::new();
+        while let Some(job) = self.source.next_job()? {
+            pending.push(job);
+        }
         let (events, next_seq, pushed) = self.queue.snapshot();
-        crate::EngineCheckpoint {
+        Ok(crate::EngineCheckpoint {
             at,
             clock: self.clock,
             map_slots: self.config.cluster.map_slots,
             reduce_slots: self.config.cluster.reduce_slots,
             hosts: self.config.cluster.hosts,
-            streaming: self.source.is_some(),
             collected: self.config.collect_job_results,
             jobq_dirty: self.jobq_dirty,
             events,
             next_seq,
             pushed,
             last_pulled_arrival: self.last_pulled_arrival,
-            jobs_base: self.jobs.id_range().0,
-            jobs: self.jobs.raw_slots().map(|s| s.cloned()).collect(),
-            free_map_slots: self.free_map_slots.clone(),
-            free_reduce_slots: self.free_reduce_slots.clone(),
-            dead_hosts: self.dead_hosts.clone(),
-            dead_map_slots: self.dead_map_slots.clone(),
-            dead_reduce_slots: self.dead_reduce_slots.clone(),
-            fault_plan: self.fault_plan.clone(),
-            map_slowdown: self.map_slowdown.clone(),
-            reduce_slowdown: self.reduce_slowdown.clone(),
+            job_ids: self.job_ids,
+            jobs_base: self.jobs.base,
+            jobs: self.jobs.slots.into(),
+            pending,
+            free_map_slots: self.free_map_slots,
+            free_reduce_slots: self.free_reduce_slots,
+            dead_hosts: self.dead_hosts,
+            dead_map_slots: self.dead_map_slots,
+            dead_reduce_slots: self.dead_reduce_slots,
+            fault_plan: self.fault_plan,
+            map_slowdown: self.map_slowdown,
+            reduce_slowdown: self.reduce_slowdown,
             policy_wakeup_at: self.policy_wakeup_at,
             events_processed: self.events_processed,
             makespan: self.makespan,
-            timeline: self.timeline.clone(),
-            results: self.results.clone(),
+            timeline: self.timeline,
+            results: self.results,
             policy_name: self.policy.name().to_string(),
             policy_blob: self.policy.snapshot(),
-        }
+        })
     }
 
-    /// Resumes a checkpoint captured from a materialized-trace engine.
+    /// Resumes a checkpoint: the continued run pulls the jobs the
+    /// checkpoint carries as not yet pulled, so no trace or source is
+    /// needed — which is what lets the serve layer replay suffixes from a
+    /// memoized checkpoint alone.
     ///
-    /// Materialized engines admit every trace job at construction, so the
-    /// checkpoint carries the whole job table and no trace is needed to
-    /// continue — which is what lets the serve layer replay suffixes from
-    /// a memoized checkpoint alone. `config` must be the configuration of
-    /// the original run (the cluster shape and result collection are
-    /// validated; behavioral knobs like speculation are the caller's
-    /// contract), and `policy` a fresh policy of the kind that captured
-    /// the checkpoint — divergences are applied afterwards via
-    /// [`Self::apply_fork`].
+    /// `config` must be the configuration of the original run (the
+    /// cluster shape and result collection are validated; behavioral knobs
+    /// like speculation are the caller's contract), and `policy` a fresh
+    /// policy of the kind that captured the checkpoint — divergences are
+    /// applied afterwards via [`Self::apply_fork`].
     pub fn resume_materialized(
         config: EngineConfig,
         ckpt: &crate::EngineCheckpoint,
         policy: Box<dyn SchedulerPolicy + 'a>,
-    ) -> Result<Self, crate::CkptError> {
-        if ckpt.streaming {
-            return Err(crate::CkptError::Mismatch(
-                "checkpoint was captured from a streaming engine; \
-                 resume it with resume_with_source"
-                    .into(),
-            ));
-        }
-        Self::resume_common(config, ckpt, policy, None)
-    }
-
-    /// Resumes a checkpoint captured from a streaming engine.
-    ///
-    /// The checkpoint records how many jobs the original run had admitted;
-    /// that many are pulled from the fresh `source` and discarded (their
-    /// state — including the one-arrival lookahead — lives in the
-    /// checkpoint), after which the source supplies the remaining jobs
-    /// exactly as the original run would have seen them.
-    pub fn resume_with_source(
-        config: EngineConfig,
-        ckpt: &crate::EngineCheckpoint,
-        mut source: Box<dyn JobSource + 'a>,
-        policy: Box<dyn SchedulerPolicy + 'a>,
-    ) -> Result<Self, crate::CkptError> {
-        if !ckpt.streaming {
-            return Err(crate::CkptError::Mismatch(
-                "checkpoint was captured from a materialized engine; \
-                 resume it with resume_materialized"
-                    .into(),
-            ));
-        }
-        let admitted = ckpt.jobs_base + ckpt.jobs.len();
-        for i in 0..admitted {
-            match source.next_job() {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    return Err(crate::CkptError::Mismatch(format!(
-                        "source ran dry after {i} jobs; the checkpoint had admitted {admitted}"
-                    )))
-                }
-                Err(e) => return Err(crate::CkptError::Mismatch(e.to_string())),
-            }
-        }
-        Self::resume_common(config, ckpt, policy, Some(source))
-    }
-
-    fn resume_common(
-        config: EngineConfig,
-        ckpt: &crate::EngineCheckpoint,
-        policy: Box<dyn SchedulerPolicy + 'a>,
-        source: Option<Box<dyn JobSource + 'a>>,
     ) -> Result<Self, crate::CkptError> {
         use crate::CkptError;
         let c = config.cluster;
@@ -1667,47 +1582,39 @@ impl<'a> SimulatorEngine<'a> {
                 if config.collect_job_results { "collects" } else { "does not collect" }
             )));
         }
-        let jobs = JobTable::from_parts(
-            ckpt.jobs_base,
-            ckpt.jobs.iter().map(|s| s.clone().map(Box::new)).collect(),
-        );
+        // the one construction path over the pending arrivals, then the
+        // captured state
+        let source = Box::new(ckpt.pending.clone().into_iter());
+        let mut engine = Self::from_source(config, source, policy);
+        engine.last_pulled_arrival = ckpt.last_pulled_arrival;
+        engine.job_ids = ckpt.job_ids;
+        engine.queue = EventQueue::from_snapshot(ckpt.events.clone(), ckpt.next_seq, ckpt.pushed);
+        engine.free_map_slots = ckpt.free_map_slots.clone();
+        engine.free_reduce_slots = ckpt.free_reduce_slots.clone();
+        engine.dead_hosts = ckpt.dead_hosts.clone();
+        engine.dead_map_slots = ckpt.dead_map_slots.clone();
+        engine.dead_reduce_slots = ckpt.dead_reduce_slots.clone();
+        engine.fault_plan = ckpt.fault_plan.clone();
+        engine.map_slowdown = ckpt.map_slowdown.clone();
+        engine.reduce_slowdown = ckpt.reduce_slowdown.clone();
+        engine.jobs = JobTable { slots: ckpt.jobs.iter().cloned().collect(), base: ckpt.jobs_base };
+        engine.jobq_dirty = ckpt.jobq_dirty;
+        engine.policy_wakeup_at = ckpt.policy_wakeup_at;
+        engine.clock = ckpt.clock;
+        engine.seeded = true;
+        engine.events_processed = ckpt.events_processed;
+        engine.timeline = ckpt.timeline.clone();
+        engine.results = ckpt.results.clone();
+        engine.makespan = ckpt.makespan;
         let boundary = (ckpt.events_processed > 0).then_some(ckpt.clock);
-        let mut engine = SimulatorEngine {
-            config,
-            source,
-            last_pulled_arrival: ckpt.last_pulled_arrival,
-            policy,
-            queue: EventQueue::from_snapshot(ckpt.events.clone(), ckpt.next_seq, ckpt.pushed),
-            free_map_slots: ckpt.free_map_slots.clone(),
-            free_reduce_slots: ckpt.free_reduce_slots.clone(),
-            dead_hosts: ckpt.dead_hosts.clone(),
-            dead_map_slots: ckpt.dead_map_slots.clone(),
-            dead_reduce_slots: ckpt.dead_reduce_slots.clone(),
-            fault_plan: ckpt.fault_plan.clone(),
-            map_slowdown: ckpt.map_slowdown.clone(),
-            reduce_slowdown: ckpt.reduce_slowdown.clone(),
-            jobq: JobQueue::with_capacity(jobs.total().min(1024)),
-            jobq_dirty: ckpt.jobq_dirty,
-            victims: Vec::new(),
-            policy_wakeup_at: ckpt.policy_wakeup_at,
-            clock: ckpt.clock,
-            seeded: true,
-            jobs,
-            events_processed: ckpt.events_processed,
-            timeline: ckpt.timeline.clone(),
-            results: ckpt.results.clone(),
-            makespan: ckpt.makespan,
-            invariants: config.invariants_enabled().then(|| {
-                Box::new(InvariantState::resume(
-                    &config,
-                    ckpt.events_processed,
-                    boundary,
-                    &ckpt.timeline,
-                ))
-            }),
-            #[cfg(any(test, debug_assertions))]
-            snapshot_oracle: false,
-        };
+        engine.invariants = engine.invariants.map(|_| {
+            Box::new(InvariantState::resume(
+                &config,
+                ckpt.events_processed,
+                boundary,
+                &ckpt.timeline,
+            ))
+        });
         engine.jobq.now = ckpt.clock;
         engine.rebuild_jobq();
         engine.adopt_policy();
@@ -1809,7 +1716,10 @@ impl<'a> SimulatorEngine<'a> {
                             spec.deadline,
                             &self.config,
                         );
-                        let id = self.jobs.push(Box::new(state));
+                        // injected ids follow the source's: trace_len + k
+                        let id = JobId(self.job_ids as u32);
+                        self.job_ids += 1;
+                        self.jobs.admit(id, Box::new(state));
                         if self.config.collect_job_results {
                             self.results.push(None);
                         }
@@ -2188,6 +2098,43 @@ mod tests {
         assert!(!report.jobs[0].met_deadline());
         assert_eq!(report.missed_deadlines(), 1);
         assert!((report.total_relative_deadline_exceeded() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn invalid_template_fails_the_run_not_construction() {
+        // a hand-built template whose task vectors disagree with its
+        // counts: `new` accepts the trace, the pull-time check rejects it
+        let mut trace = WorkloadTrace::new("t", "test");
+        trace.push(uniform_job(1, 0, 100, 0, 0, 0, SimTime::ZERO));
+        let mut bad = uniform_job(2, 0, 100, 0, 0, 0, SimTime::from_millis(50));
+        bad.template.map_durations.pop();
+        trace.push(bad);
+        let engine = SimulatorEngine::new(EngineConfig::new(1, 1), &trace, Box::new(TestFifo));
+        let err = engine.try_run().unwrap_err();
+        assert!(err.to_string().contains("job source error"), "{err}");
+    }
+
+    #[test]
+    fn source_ids_must_be_distinct_and_in_range() {
+        let template = Arc::new(uniform_job(1, 0, 100, 0, 0, 0, SimTime::ZERO).template);
+        let job = |id: u32, at: u64| crate::SourcedJob {
+            id: JobId(id),
+            template: Arc::clone(&template),
+            arrival: SimTime::from_millis(at),
+            deadline: None,
+        };
+        let run = |jobs: Vec<crate::SourcedJob>| {
+            let source = Box::new(jobs.into_iter());
+            SimulatorEngine::from_source(EngineConfig::new(1, 1), source, Box::new(TestFifo))
+                .try_run()
+        };
+        // ids in any order are fine as long as arrivals are ordered
+        let report = run(vec![job(1, 0), job(0, 10)]).unwrap();
+        assert_eq!(report.jobs[1].arrival, SimTime::ZERO);
+        for bad in [vec![job(0, 0), job(0, 10)], vec![job(0, 0), job(2, 10)]] {
+            let err = run(bad).unwrap_err();
+            assert!(err.to_string().contains("out of range or already admitted"), "{err}");
+        }
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! arrivals and departures, and an event signaling the completion of the
 //! map stage. Each event is a triplet (eventTime, eventType, jobId)."*
 //!
+//! Task *arrivals* (placements) skip the queue: the engine counts each
+//! launch as a processed event where it happens, keeping the accounting.
+//!
 //! The failure/speculation model (§VII future work) adds two more kinds:
 //! [`EventKind::HostFailure`] for the seeded fault plan and
 //! [`EventKind::SpeculationDue`] for the straggler-detection timer of a
@@ -15,7 +18,7 @@
 
 use simmr_types::{JobId, SimTime};
 
-/// The event types of the SimMR engine: the paper's seven plus the
+/// The event types of the SimMR engine: the paper's queued kinds plus the
 /// failure-model and policy-timer kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
@@ -23,12 +26,8 @@ pub enum EventKind {
     JobArrival,
     /// A job has fully completed and leaves the system.
     JobDeparture,
-    /// A map task is placed on a slot.
-    MapTaskArrival,
     /// A map task finishes and frees its slot.
     MapTaskDeparture,
-    /// A reduce task is placed on a slot.
-    ReduceTaskArrival,
     /// A reduce task finishes and frees its slot.
     ReduceTaskDeparture,
     /// The job's entire map stage has completed (triggers the first-shuffle
@@ -116,9 +115,7 @@ mod tests {
         let kinds: HashSet<EventKind> = [
             EventKind::JobArrival,
             EventKind::JobDeparture,
-            EventKind::MapTaskArrival,
             EventKind::MapTaskDeparture,
-            EventKind::ReduceTaskArrival,
             EventKind::ReduceTaskDeparture,
             EventKind::AllMapsFinished,
             EventKind::HostFailure,
@@ -128,6 +125,6 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_eq!(kinds.len(), 11);
+        assert_eq!(kinds.len(), 9);
     }
 }

@@ -11,10 +11,10 @@
 //!   reduce slots (TaskTracker internals are deliberately *not* simulated —
 //!   that is SimMR's speed advantage over Mumak and MRPerf; per-task
 //!   latencies come from the replayed job profiles instead).
-//! * Nine event types drive the simulation: the paper's seven (job
-//!   arrivals/departures, map and reduce task arrivals/departures, and
-//!   `AllMapsFinished`) plus `HostFailure` and `SpeculationDue` from the
-//!   failure/speculation model.
+//! * Nine event kinds drive the simulation: five of the paper's seven
+//!   (its task *arrivals* are counted at launch, not queued) plus
+//!   `HostFailure`, `HostRecovery`, `SpeculationDue` and `PolicyWakeup`.
+//! * Every run pulls its jobs from a [`JobSource`], one arrival ahead.
 //! * Reduce tasks launched before a job's map stage completes are **filler
 //!   tasks of infinite duration**; when `AllMapsFinished` fires their
 //!   duration is rewritten to the profile's *non-overlapping first-shuffle*

@@ -26,6 +26,20 @@ impl EventQueue {
         EventQueue { heap: BinaryHeap::with_capacity(n), next_seq: 0, pushed: 0 }
     }
 
+    /// Reserves sequence numbers `0..n` for [`Self::push_arrival`].
+    pub(crate) fn reserve_arrival_seqs(mut self, n: usize) -> Self {
+        self.next_seq = n as u64;
+        self
+    }
+
+    /// Schedules `job`'s arrival under its id as sequence number: same-time
+    /// arrivals pop in id order, ahead of all else, however late pulled.
+    pub(crate) fn push_arrival(&mut self, time: SimTime, job: JobId) {
+        self.pushed += 1;
+        let (kind, seq) = (EventKind::JobArrival, job.0 as u64);
+        self.heap.push(Reverse(Event { time, seq, kind, job, task_index: 0, attempt: 0 }));
+    }
+
     /// Schedules an event; insertion order breaks same-time ties.
     pub fn push(&mut self, time: SimTime, kind: EventKind, job: JobId, task_index: u32) {
         self.push_attempt(time, kind, job, task_index, 0);

@@ -1,34 +1,38 @@
-//! Streaming job ingestion: the [`JobSource`] abstraction.
+//! Job ingestion: the [`JobSource`] abstraction.
 //!
-//! [`crate::SimulatorEngine::new`] requires a fully materialized
-//! [`WorkloadTrace`] — fine at bench scale, hopeless for million-job
-//! traces. A `JobSource` decouples the engine from the container: it is
-//! an **arrival-ordered** pull iterator plus two header facts (job count,
-//! first arrival) that let the engine size nothing proportional to the
-//! trace. The engine keeps exactly one arrival of lookahead in its event
-//! queue, pulling the next job when the current arrival event pops, so
-//! resident memory tracks the *active* job span rather than the trace
-//! length.
+//! Every engine pulls its jobs from a `JobSource`: an **arrival-ordered**
+//! pull iterator plus two header facts (job count, first arrival) that
+//! let the engine size nothing proportional to the trace. The engine keeps
+//! exactly one arrival of lookahead in its event queue, pulling the next
+//! job when the current arrival event pops, so resident memory tracks the
+//! *active* job span rather than the trace length.
 //!
-//! In-memory traces adapt through [`TraceJobSource`]; the binary trace
-//! format (`simmr-trace`'s `binfmt`) streams records straight off disk.
+//! In-memory traces adapt through [`TraceJobSource`] (all
+//! [`crate::SimulatorEngine::new`] does), the binary trace format
+//! (`simmr-trace`'s `binfmt`) streams records off disk, and a checkpoint's
+//! not-yet-pulled jobs feed the resumed run.
 //!
 //! ## Contract
 //!
 //! * `next_job` yields jobs in non-decreasing arrival order; the engine
 //!   verifies this and fails the run on a violation (an out-of-order
 //!   arrival would silently corrupt the event clock).
+//! * Each job carries its [`JobId`] (a trace position or record index),
+//!   distinct and below `job_count`, increasing across same-instant
+//!   arrivals; the engine rejects out-of-range and repeated ids.
 //! * `job_count` is the exact number of jobs the source will yield, known
 //!   up front (both trace containers record it in their headers).
 //! * Templates are handed over as `Arc<JobTemplate>` so a source backed
 //!   by an interned table shares one allocation across all its jobs.
 
-use simmr_types::{JobTemplate, SimTime, WorkloadTrace};
+use simmr_types::{JobId, JobTemplate, SimTime, WorkloadTrace};
 use std::sync::Arc;
 
 /// One job pulled from a [`JobSource`].
 #[derive(Debug, Clone)]
 pub struct SourcedJob {
+    /// Identity in reports and policy hooks (trace position, record index).
+    pub id: JobId,
     /// The job's replayable profile, shared with the source's table.
     pub template: Arc<JobTemplate>,
     /// Submission time (non-decreasing across the source).
@@ -73,12 +77,12 @@ pub trait JobSource {
 }
 
 /// Adapts a materialized [`WorkloadTrace`] (in any job order) to the
-/// arrival-ordered [`JobSource`] contract.
+/// arrival-ordered [`JobSource`] contract — the source behind
+/// [`crate::SimulatorEngine::new`].
 ///
-/// Jobs are yielded sorted by `(arrival, original position)`; each pull
-/// clones the job's template into a fresh `Arc`. Useful for feeding the
-/// streaming engine path from JSON traces and for differential tests
-/// against [`crate::SimulatorEngine::new`].
+/// Jobs are yielded sorted by `(arrival, trace position)` with their trace
+/// position as id, so reports index jobs as the trace does. Each pull
+/// clones the job's template into a fresh `Arc`.
 #[derive(Debug)]
 pub struct TraceJobSource<'a> {
     trace: &'a WorkloadTrace,
@@ -112,10 +116,26 @@ impl JobSource for TraceJobSource<'_> {
         self.next += 1;
         let spec = &self.trace.jobs[i as usize];
         Ok(Some(SourcedJob {
+            id: JobId(i),
             template: Arc::new(spec.template.clone()),
             arrival: spec.arrival,
             deadline: spec.deadline,
         }))
+    }
+}
+
+/// A checkpoint's not-yet-pulled jobs, fed back to the resumed run.
+impl JobSource for std::vec::IntoIter<SourcedJob> {
+    fn job_count(&self) -> usize {
+        self.len()
+    }
+
+    fn first_arrival(&self) -> Option<SimTime> {
+        self.as_slice().first().map(|j| j.arrival)
+    }
+
+    fn next_job(&mut self) -> Result<Option<SourcedJob>, SourceError> {
+        Ok(self.next())
     }
 }
 
@@ -147,6 +167,20 @@ mod tests {
         // ties keep original trace order
         assert_eq!(names, vec!["early", "tie-a", "late"]);
         assert!(src.next_job().unwrap().is_none());
+    }
+
+    #[test]
+    fn trace_source_ids_are_trace_positions() {
+        let mut trace = WorkloadTrace::new("t", "test");
+        trace.push(job("late", 500));
+        trace.push(job("early", 100));
+        trace.push(job("tie-a", 100));
+        let mut src = TraceJobSource::new(&trace);
+        let mut ids = Vec::new();
+        while let Some(j) = src.next_job().unwrap() {
+            ids.push(j.id.0);
+        }
+        assert_eq!(ids, vec![1, 2, 0]);
     }
 
     #[test]

@@ -591,7 +591,7 @@ impl ResolvedScenario {
         engine
             .apply_fork(self.spec.fork_spec())
             .expect("fork divergences are validated at resolve time");
-        let report = engine.try_run().expect("materialized engines cannot hit source errors");
+        let report = engine.try_run().expect("resolved traces hold only validated templates");
         self.wrap(report, Some(hit))
     }
 
@@ -600,7 +600,7 @@ impl ResolvedScenario {
     pub fn checkpoint(&self, at: SimTime) -> EngineCheckpoint {
         SimulatorEngine::new(self.spec.engine_config(), &self.trace, self.spec.policy.build())
             .checkpoint_at(at)
-            .expect("materialized engines cannot hit source errors")
+            .expect("resolved traces hold only validated templates")
     }
 
     /// The memo key of the prefix checkpoint a fork scenario warm-starts
@@ -874,8 +874,8 @@ impl SimFacade {
     /// or cache key.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<FacadeRun, FacadeError> {
         if let TraceRef::Path(path) = &spec.trace {
-            // forks need the materialized resume path, deadline stamping
-            // rewrites the trace — both opt out of streaming
+            // forks memoize checkpoints by trace digest, deadline stamping
+            // rewrites the trace — both resolve the trace in memory
             if spec.deadline_factor.is_none()
                 && spec.fork_at.is_none()
                 && spec.divergences.is_empty()

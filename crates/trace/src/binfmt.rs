@@ -48,7 +48,7 @@
 //! [`WorkloadTrace`].
 
 use simmr_core::{JobSource, SourceError, SourcedJob};
-use simmr_types::{JobSpec, JobTemplate, SimTime, TemplateError, TraceMeta, WorkloadTrace};
+use simmr_types::{JobId, JobSpec, JobTemplate, SimTime, TemplateError, TraceMeta, WorkloadTrace};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
@@ -677,7 +677,8 @@ pub fn is_binary_trace(bytes: &[u8]) -> bool {
 ///
 /// `open` makes one sequential checksum pass over the body (so a
 /// truncated or corrupted file is rejected up front, before the engine
-/// starts), then rewinds and yields arrival-ordered records on demand.
+/// starts), then rewinds and yields arrival-ordered records on demand,
+/// each under its record index as job id (as [`decode_trace`] numbers it).
 #[derive(Debug)]
 pub struct BinTraceSource {
     reader: BufReader<File>,
@@ -758,8 +759,9 @@ impl BinTraceSource {
             return Err(BinError::ArrivalOrder);
         }
         self.last_arrival = rec.arrival;
+        let id = JobId(self.yielded as u32);
         self.yielded += 1;
-        Ok(Some(SourcedJob { template, arrival: rec.arrival, deadline: rec.deadline }))
+        Ok(Some(SourcedJob { id, template, arrival: rec.arrival, deadline: rec.deadline }))
     }
 }
 
@@ -918,6 +920,21 @@ mod tests {
         // a truncated file fails at open, not mid-stream
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         assert!(matches!(BinTraceSource::open(&path).unwrap_err(), BinError::Truncated));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn streaming_source_ids_are_record_indices() {
+        let bytes = encode_trace(&sample_trace()).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("simmr-binfmt-ids-{}.trace.bin", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let mut src = BinTraceSource::open(&path).unwrap();
+        let mut ids = Vec::new();
+        while let Some(job) = src.next_job().unwrap() {
+            ids.push(job.id.0);
+        }
+        assert_eq!(ids, vec![0, 1, 2]);
         let _ = std::fs::remove_file(&path);
     }
 }
