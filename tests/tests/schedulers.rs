@@ -210,6 +210,26 @@ fn flat_hier_tree_matches_capacity_byte_identically() {
     }
 }
 
+/// `capacity:` routes a job to the queue with the longest matching name,
+/// so with nested queue names a `prod-etl-…` job lands in `prod-etl`,
+/// not in `prod`; `hier:` routes to the first matching leaf instead.
+#[test]
+fn capacity_routes_to_the_longest_matching_queue() {
+    let mut trace = WorkloadTrace::new("nested-queues", "capacity-routing");
+    trace.push(tenant_job("prod-wordcount", 4, 1_000, 0));
+    trace.push(tenant_job("prod-etl-daily", 2, 1_000, 0));
+    // two equal-weight queues split the two slots: the etl job runs one
+    // map at a time and finishes at 2 s, then wordcount takes both slots
+    let report = run_invariant_checked(&trace, "capacity:prod=1,prod-etl=1", 2);
+    assert_eq!(report.jobs[1].completion, SimTime::from_millis(2_000));
+    assert_eq!(report.jobs[0].completion, SimTime::from_millis(3_000));
+    // first-match routing puts both jobs in `prod`, where FIFO hands the
+    // earlier wordcount job both slots first
+    let first_match = run_invariant_checked(&trace, "hier:prod,prod-etl", 2);
+    assert_eq!(first_match.jobs[0].completion, SimTime::from_millis(2_000));
+    assert_eq!(first_match.jobs[1].completion, SimTime::from_millis(3_000));
+}
+
 /// A min share larger than the whole cluster cannot over-kill: preemption
 /// stops as soon as the starved pool has no pending work left, so the
 /// number of kills is bounded by the pool's own demand.
