@@ -128,8 +128,8 @@ MS with any mix of --fork-policy (swap the scheduler mid-run),
 --fork-fault HOST[@MS] (inject a fail-stop loss) and --fork-surge FILE
 (splice extra arrivals). A forked run is byte-identical to running the
 changed scenario from scratch. `simmr checkpoint` snapshots the prefix to
-a .ckpt file (SIMMRCKP v2, CRC-64 sealed; v2 bytes and digests differ from
-v1) carrying the not-yet-pulled jobs; `--info` counts as admitted only the
+a .ckpt file (SIMMRCKP v3, CRC-64 sealed; bytes and digests differ
+between format versions) carrying the not-yet-pulled jobs; `--info` counts as admitted only the
 jobs pulled by the boundary. The serve layer keeps the same snapshots in a
 warm-start cache so a /v1/sweep over divergences runs the prefix once (the
 `x-simmr-ckpt` header says `hit` or `miss`).";

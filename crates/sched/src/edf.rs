@@ -14,48 +14,28 @@
 //!
 //! # Incremental deadline index
 //!
-//! Every pick and preemption check used to scan the whole queue with
-//! `min_by_key(edf_key)` — the last O(n)-per-decision policy family.
-//! Both policies now schedule from a [`DeadlineIndex`]: keyed
-//! lazy-deletion heaps (see [`crate::edf_index`]) maintained O(log n)
-//! per queue mutation from the `on_job_queued` / `on_entry_mutated` /
-//! `on_job_dequeued` hooks. MinEDF layers its under-`wanted`-cap filter
-//! into the predicates it indexes and validates with, so its views hold
-//! exactly the jobs it may launch. The pre-index full-scan paths are
-//! retained behind [`MaxEdfPolicy::with_full_scan`] /
-//! [`MinEdfPolicy::with_full_scan`] as a differential reference (the
-//! index is still maintained there, so `verify_invariants` cross-checks
-//! it in both modes), and the
-//! `edf_incremental_matches_full_scan_reference` proptest in `tests/`
-//! pins both modes to byte-identical schedules under faults,
-//! speculation and preemption.
+//! Both policies schedule from a [`DeadlineIndex`]: keyed lazy-deletion
+//! heaps (see [`crate::edf_index`]) maintained O(log n) per queue
+//! mutation from the `on_job_queued` / `on_entry_mutated` /
+//! `on_job_dequeued` hooks, instead of scanning the whole queue with
+//! `min_by_key(edf_key)` on every pick and preemption check. MinEDF
+//! layers its under-`wanted`-cap filter into the predicates it indexes
+//! and validates with, so its views hold exactly the jobs it may launch.
+//! `verify_invariants` cross-checks the index against the live queue,
+//! and the crate's test-only full-scan reference policies pin both
+//! policies to byte-identical schedules under faults, speculation and
+//! preemption.
 
-use crate::edf_index::{DeadlineIndex, EdfKey};
+use crate::edf_index::DeadlineIndex;
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_model::{min_slots_for_deadline, JobProfileSummary, SlotAllocation};
 use simmr_types::{DurationMs, JobId, JobTemplate};
 use std::collections::HashMap;
 
-/// Shared EDF preemption rule, full-scan reference path: kill one map of
-/// the latest-deadline running job, provided it sorts strictly after the
-/// given urgent (waiting) job. The urgent choice is policy-specific —
-/// MaxEDF passes its global EDF minimum, MinEDF its under-cap minimum —
-/// so the freed slot always lands on the job named here.
-fn full_scan_victim(jobq: &JobQueue, urgent: EdfKey) -> Option<JobId> {
-    jobq.entries()
-        .iter()
-        .filter(|e| e.running_maps > 0 && e.edf_key() > urgent)
-        .max_by_key(|e| e.edf_key())
-        .map(|e| e.id)
-}
-
 /// EDF ordering with maximum resource allocation.
 #[derive(Debug, Default, Clone)]
 pub struct MaxEdfPolicy {
     preemptive: bool,
-    /// Use the pre-index full-scan selection paths (differential
-    /// reference mode); the index is still maintained.
-    full_scan: bool,
     index: DeadlineIndex,
 }
 
@@ -73,15 +53,6 @@ impl MaxEdfPolicy {
     /// `ablation_preemption` binary quantifies it.
     pub fn preemptive() -> Self {
         MaxEdfPolicy { preemptive: true, ..MaxEdfPolicy::default() }
-    }
-
-    /// Switches to the retained full-scan reference mode: every pick and
-    /// preemption check scans `jobq.entries()` exactly as before the
-    /// deadline index. Schedules are identical by construction — the
-    /// differential proptest in `tests/` holds both modes to that.
-    pub fn with_full_scan(mut self) -> Self {
-        self.full_scan = true;
-        self
     }
 }
 
@@ -109,14 +80,6 @@ impl SchedulerPolicy for MaxEdfPolicy {
     }
 
     fn choose_next_map_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        if self.full_scan {
-            return jobq
-                .entries()
-                .iter()
-                .filter(|e| e.has_schedulable_map())
-                .min_by_key(|e| e.edf_key())
-                .map(|e| e.id);
-        }
         self.index
             .maps
             .peek_valid(|id| jobq.get(id).is_some_and(|e| e.has_schedulable_map()))
@@ -124,14 +87,6 @@ impl SchedulerPolicy for MaxEdfPolicy {
     }
 
     fn choose_next_reduce_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        if self.full_scan {
-            return jobq
-                .entries()
-                .iter()
-                .filter(|e| e.has_schedulable_reduce())
-                .min_by_key(|e| e.edf_key())
-                .map(|e| e.id);
-        }
         self.index
             .reduces
             .peek_valid(|id| jobq.get(id).is_some_and(|e| e.has_schedulable_reduce()))
@@ -150,15 +105,10 @@ impl SchedulerPolicy for MaxEdfPolicy {
         else {
             return;
         };
-        let victim = if self.full_scan {
-            full_scan_victim(jobq, urgent)
-        } else {
+        victims.extend(
             self.index
-                .preemption_victim(urgent, |id| jobq.get(id).is_some_and(|e| e.running_maps > 0))
-        };
-        if let Some(id) = victim {
-            victims.push(id);
-        }
+                .preemption_victim(urgent, |id| jobq.get(id).is_some_and(|e| e.running_maps > 0)),
+        );
     }
 
     fn verify_invariants(&self, jobq: &JobQueue) {
@@ -170,20 +120,20 @@ impl SchedulerPolicy for MaxEdfPolicy {
 
     /// The deadline index is rebuilt by the hook replay (a rebuilt index
     /// has no lazy-deletion debt, which is behaviorally invisible), so
-    /// only the construction flags need cross-checking.
+    /// only the preemptive flag needs cross-checking.
     fn snapshot(&self) -> Vec<u8> {
-        vec![self.preemptive as u8, self.full_scan as u8]
+        vec![self.preemptive as u8]
     }
 
     fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
         let mut r = crate::snap::Reader::new(blob);
-        let (preemptive, full_scan) = (r.u8()? != 0, r.u8()? != 0);
+        let preemptive = r.u8()? != 0;
         r.done()?;
-        if preemptive != self.preemptive || full_scan != self.full_scan {
+        if preemptive != self.preemptive {
             return Err(format!(
                 "maxedf variant mismatch: checkpoint taken with preemptive={preemptive}, \
-                 full_scan={full_scan}; resuming policy has preemptive={}, full_scan={}",
-                self.preemptive, self.full_scan
+                 resuming policy has preemptive={}",
+                self.preemptive
             ));
         }
         Ok(())
@@ -202,9 +152,6 @@ pub struct MinEdfPolicy {
     /// Consulted once per arrival, so a map is fine here.
     presets: HashMap<JobId, SlotAllocation>,
     preemptive: bool,
-    /// Use the pre-index full-scan selection paths (differential
-    /// reference mode); the index is still maintained.
-    full_scan: bool,
     /// Deadline views over the *under-cap* schedulable predicates.
     index: DeadlineIndex,
 }
@@ -226,13 +173,6 @@ impl MinEdfPolicy {
     /// Creates a preemptive variant (see [`MaxEdfPolicy::preemptive`]).
     pub fn preemptive() -> Self {
         MinEdfPolicy { preemptive: true, ..MinEdfPolicy::default() }
-    }
-
-    /// Switches to the retained full-scan reference mode (see
-    /// [`MaxEdfPolicy::with_full_scan`]).
-    pub fn with_full_scan(mut self) -> Self {
-        self.full_scan = true;
-        self
     }
 
     /// The wanted allocation for a job (visible for tests/diagnostics).
@@ -314,14 +254,6 @@ impl SchedulerPolicy for MinEdfPolicy {
     }
 
     fn choose_next_map_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        if self.full_scan {
-            return jobq
-                .entries()
-                .iter()
-                .filter(|e| self.under_map_cap(e))
-                .min_by_key(|e| e.edf_key())
-                .map(|e| e.id);
-        }
         // the closure re-checks the cap against the live entry, so a job
         // that filled its cap since being offered is evicted, not picked
         let wanted = &self.wanted;
@@ -341,14 +273,6 @@ impl SchedulerPolicy for MinEdfPolicy {
     }
 
     fn choose_next_reduce_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        if self.full_scan {
-            return jobq
-                .entries()
-                .iter()
-                .filter(|e| self.under_reduce_cap(e))
-                .min_by_key(|e| e.edf_key())
-                .map(|e| e.id);
-        }
         let wanted = &self.wanted;
         self.index
             .reduces
@@ -381,15 +305,10 @@ impl SchedulerPolicy for MinEdfPolicy {
         else {
             return;
         };
-        let victim = if self.full_scan {
-            full_scan_victim(jobq, urgent)
-        } else {
+        victims.extend(
             self.index
-                .preemption_victim(urgent, |id| jobq.get(id).is_some_and(|e| e.running_maps > 0))
-        };
-        if let Some(id) = victim {
-            victims.push(id);
-        }
+                .preemption_victim(urgent, |id| jobq.get(id).is_some_and(|e| e.running_maps > 0)),
+        );
     }
 
     fn verify_invariants(&self, jobq: &JobQueue) {
@@ -408,13 +327,14 @@ impl SchedulerPolicy for MinEdfPolicy {
         );
     }
 
-    /// Variant flags plus the live wanted allocations, sorted by job id.
+    /// The preemptive flag plus the live wanted allocations, sorted by
+    /// job id.
     /// The allocations are derivable (the arrival replay recomputes them
     /// from the bounds model), so the blob is a cross-check: a resume
     /// with different presets routes every job through the same replay
     /// but lands on different caps, and this is what catches it.
     fn snapshot(&self) -> Vec<u8> {
-        let mut out = vec![self.preemptive as u8, self.full_scan as u8];
+        let mut out = vec![self.preemptive as u8];
         let live: Vec<(u32, SlotAllocation)> =
             self.wanted.iter().enumerate().filter_map(|(i, w)| w.map(|w| (i as u32, w))).collect();
         crate::snap::put_u32(&mut out, live.len() as u32);
@@ -428,12 +348,12 @@ impl SchedulerPolicy for MinEdfPolicy {
 
     fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
         let mut r = crate::snap::Reader::new(blob);
-        let (preemptive, full_scan) = (r.u8()? != 0, r.u8()? != 0);
-        if preemptive != self.preemptive || full_scan != self.full_scan {
+        let preemptive = r.u8()? != 0;
+        if preemptive != self.preemptive {
             return Err(format!(
                 "minedf variant mismatch: checkpoint taken with preemptive={preemptive}, \
-                 full_scan={full_scan}; resuming policy has preemptive={}, full_scan={}",
-                self.preemptive, self.full_scan
+                 resuming policy has preemptive={}",
+                self.preemptive
             ));
         }
         let n = r.u32()? as usize;

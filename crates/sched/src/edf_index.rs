@@ -41,9 +41,9 @@
 //! `min_by_key(edf_key)` scan over qualifying entries would return.
 //! [`DeadlineIndex::verify_against`] checks that equivalence's one
 //! precondition (every qualifying job is a member) against a full-scan
-//! oracle; the `with_full_scan()` reference modes on the EDF policies
-//! and the `edf_incremental_matches_full_scan_reference` differential
-//! proptest in `tests/` hold the schedules themselves to it.
+//! oracle; the `edf_incremental_matches_full_scan_reference` proptest
+//! holds the schedules themselves to it, against a test-only full-scan
+//! EDF policy in the crate's `reference` module.
 
 use simmr_core::JobEntry;
 use simmr_types::{JobId, SimTime};

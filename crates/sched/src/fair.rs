@@ -40,23 +40,6 @@ impl SchedulerPolicy for FairSharePolicy {
             .min_by_key(|e| (e.running_reduces, e.arrival, e.id))
             .map(|e| e.id)
     }
-
-    /// Fair share is completely stateless — the deficit comparison reads
-    /// only the live queue — so its checkpoint blob is empty.
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
-        if blob.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "fair keeps no snapshot state but the checkpoint carries {} bytes",
-                blob.len()
-            ))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -32,23 +32,6 @@ impl SchedulerPolicy for FifoPolicy {
     fn choose_next_reduce_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
         jobq.first_schedulable_reduce().map(|e| e.id)
     }
-
-    /// FIFO is completely stateless — every choice is a pure function of
-    /// the live queue — so its checkpoint blob is empty.
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
-        if blob.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "fifo keeps no snapshot state but the checkpoint carries {} bytes",
-                blob.len()
-            ))
-        }
-    }
 }
 
 #[cfg(test)]

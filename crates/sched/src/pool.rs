@@ -29,9 +29,8 @@
 //! `-`: `prod{etl,serving}` yields leaves `prod-etl` and `prod-serving`.
 //! Jobs route to the **first** leaf (depth-first order) whose prefix is a
 //! prefix of the job name, falling back to the **last** leaf. This is not
-//! [`CapacityPolicy`](crate::CapacityPolicy) routing, which picks the
-//! *longest* matching queue name: the two agree only when no routing
-//! prefix is a prefix of another. List more specific pools before the
+//! `capacity` routing, which picks the *longest* matching queue name:
+//! the two agree only when no routing prefix is a prefix of another. List more specific pools before the
 //! pools whose prefixes they extend, and a catch-all pool last.
 //!
 //! ## JSON config (`--pools FILE`)

@@ -12,33 +12,24 @@
 //! * random traces under the full failure model (host failures,
 //!   speculation, per-slot slowdowns) sweep all eight policies with the
 //!   checker on, and every run must replay byte-identically;
-//! * random pool trees replay random multi-tenant workloads under both
-//!   the incremental `hier` share view and its retained
-//!   full-reaggregation reference mode — reports (event timelines
-//!   included) must match byte for byte while the checker cross-checks
-//!   the maintained per-pool counters against the re-aggregation oracle
-//!   after every batch;
-//! * random deadline-heavy traces (faults, speculation and preemption
-//!   included) replay under the EDF policies' incremental deadline index
-//!   and their retained full-scan reference modes — byte-identical
-//!   reports required, with the checker cross-checking the index against
-//!   the live queue after every batch;
 //! * a deterministic preemption scenario is cross-checked against the
 //!   snapshot oracle. With the two preemption fixes reverted
 //!   (`preempt_map` not setting `jobq_dirty`; map bars recorded at launch
 //!   with full duration) this suite fails — the checker provably catches
 //!   that bug class.
+//!
+//! The hier share-view and EDF deadline-index differential oracles run
+//! against test-only reference policies in `simmr-sched`'s `reference`
+//! module.
 
 use proptest::prelude::*;
-use simmr_core::SchedulerPolicy;
 use simmr_core::{
     Divergence, EngineCheckpoint, EngineConfig, FaultSpec, ForkSpec, HostFailure, RecoverySpec,
     SimulatorEngine,
 };
 use simmr_model::{estimate_completion, JobProfileSummary};
-use simmr_sched::{parse_policy, parse_pool_spec, HierPolicy, MaxEdfPolicy, MinEdfPolicy};
+use simmr_sched::parse_policy;
 use simmr_stats::Dist;
-use simmr_trace::MultiTenantWorkload;
 use simmr_types::{HostId, JobSpec, JobTemplate, SimTime, TimelinePhase, WorkloadTrace};
 
 const POLICIES: [&str; 8] = [
@@ -213,138 +204,9 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// (d) Differential oracle for the incremental share view: the same
-    /// random pool tree replays the same random multi-tenant workload
-    /// (failures and speculation included) under the incremental `hier`
-    /// policy and under its retained full-reaggregation reference mode.
-    /// Reports — event timelines included — must match byte for byte,
-    /// and the armed invariant checker cross-checks the maintained
-    /// per-pool share counters against the re-aggregation oracle after
-    /// every settled batch on both sides.
-    #[test]
-    fn hier_incremental_matches_full_reaggregation_reference(
-        shape in 0usize..4,
-        w0 in 1u32..6,
-        w1 in 1u32..6,
-        min0 in 0usize..5,
-        max0 in 2usize..7,
-        timeout_ds in 0u64..12, // deciseconds; 0 = same-pass preemption
-        with_timeout in proptest::bool::ANY,
-        jobs in 8usize..48,
-        interarrival in 200u64..4_000,
-        seed in 0u64..1_000,
-        map_slots in 2usize..10,
-        reduce_slots in 1usize..6,
-        fault_count in 0u32..3,
-        speculation_on in proptest::bool::ANY,
-    ) {
-        let t = if with_timeout {
-            format!(",timeout={}", timeout_ds as f64 / 10.0)
-        } else {
-            String::new()
-        };
-        // pool-tree shapes over the three_tenant routing prefixes, from
-        // flat weighted splits to nested min/max/timeout combinations
-        let spec = match shape {
-            0 => format!("prod[w={w0},min={min0}{t}]{{etl,serving}},adhoc[w={w1}]"),
-            1 => format!("prod[w={w0}]{{etl[min={min0}{t}],serving[max={max0}]}},adhoc[w={w1}]"),
-            2 => format!("prod-etl[w={w0},min={min0}{t}],prod-serving[w={w1}],adhoc[max={max0}]"),
-            _ => format!("prod[w={w0}]{{etl[min={min0}{t}],serving{{a,b}}}},adhoc[w={w1}]"),
-        };
-        let pools = parse_pool_spec(&spec).expect("generated pool spec parses");
-        let trace = MultiTenantWorkload::three_tenant(interarrival as f64)
-            .generate(jobs, seed);
-        let mut config = EngineConfig::new(map_slots, reduce_slots)
-            .with_hosts(2)
-            .with_faults(FaultSpec { seed, count: fault_count, mean_interval_ms: 5_000 })
-            .with_timeline()
-            .with_invariants();
-        if speculation_on {
-            config = config.with_speculation(1.5);
-        }
-        let incremental =
-            SimulatorEngine::new(config, &trace, Box::new(HierPolicy::new(pools.clone()))).run();
-        let reference = SimulatorEngine::new(
-            config,
-            &trace,
-            Box::new(HierPolicy::new(pools).with_full_reaggregation()),
-        )
-        .run();
-        prop_assert_eq!(incremental, reference, "incremental hier diverged on {}", spec);
-    }
-
-    /// (e) Differential oracle for the incremental deadline index: random
-    /// deadline-heavy traces (a mix of tight, relaxed and absent
-    /// deadlines) replay under every EDF variant — plain and preemptive,
-    /// MaxEDF and MinEDF — once scheduling from the lazy-deletion
-    /// deadline index and once in the retained `with_full_scan()`
-    /// reference mode, with host failures and speculation in play.
-    /// Reports (event timelines included) must match byte for byte, and
-    /// the armed invariant checker cross-checks index membership against
-    /// the live queue after every settled batch on both sides.
-    #[test]
-    fn edf_incremental_matches_full_scan_reference(
-        jobs in proptest::collection::vec(
-            // (maps, reduces, map_ms, sh_ms, red_ms, arrival, deadline_rel, has_deadline)
-            (1usize..7, 0usize..4, 50u64..600, 1u64..60, 1u64..80,
-             0u64..1_200, 50u64..3_000, proptest::bool::ANY),
-            2..16,
-        ),
-        map_slots in 1usize..6,
-        reduce_slots in 1usize..4,
-        hosts in 2usize..4,
-        fault_count in 0u32..3,
-        seed in 0u64..1_000,
-        speculation_on in proptest::bool::ANY,
-    ) {
-        let mut trace = WorkloadTrace::new("edf-diff", "invariant-harness");
-        for &(maps, reduces, map_ms, sh_ms, red_ms, arrival, deadline_rel, has_deadline) in &jobs {
-            let mut spec = JobSpec::new(
-                uniform_template(maps, reduces, map_ms, sh_ms, red_ms),
-                SimTime::from_millis(arrival),
-            );
-            if has_deadline {
-                spec = spec.with_deadline(SimTime::from_millis(arrival + deadline_rel));
-            }
-            trace.push(spec);
-        }
-        let mut config = EngineConfig::new(map_slots, reduce_slots)
-            .with_hosts(hosts)
-            .with_faults(FaultSpec { seed, count: fault_count, mean_interval_ms: 900 })
-            .with_timeline()
-            .with_invariants();
-        if speculation_on {
-            config = config.with_speculation(1.5);
-        }
-        let build = |variant: &str, full_scan: bool| -> Box<dyn SchedulerPolicy> {
-            match (variant, full_scan) {
-                ("maxedf", false) => Box::new(MaxEdfPolicy::new()),
-                ("maxedf", true) => Box::new(MaxEdfPolicy::new().with_full_scan()),
-                ("maxedf-p", false) => Box::new(MaxEdfPolicy::preemptive()),
-                ("maxedf-p", true) => Box::new(MaxEdfPolicy::preemptive().with_full_scan()),
-                ("minedf", false) => Box::new(MinEdfPolicy::new()),
-                ("minedf", true) => Box::new(MinEdfPolicy::new().with_full_scan()),
-                ("minedf-p", false) => Box::new(MinEdfPolicy::preemptive()),
-                ("minedf-p", true) => Box::new(MinEdfPolicy::preemptive().with_full_scan()),
-                _ => unreachable!("unknown EDF variant {variant}"),
-            }
-        };
-        for variant in ["maxedf", "maxedf-p", "minedf", "minedf-p"] {
-            let incremental =
-                SimulatorEngine::new(config, &trace, build(variant, false)).run();
-            let reference =
-                SimulatorEngine::new(config, &trace, build(variant, true)).run();
-            prop_assert_eq!(incremental, reference, "incremental {} diverged", variant);
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// (f) Fork differential oracle for the time-travel checkpoints: for
+    /// (d) Fork differential oracle for the time-travel checkpoints: for
     /// every policy, a run under the full perturbation stack (host
     /// failures, recovery, speculation, per-slot slowdowns) is
     /// checkpointed at a random instant — through the full binary codec —
